@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .geometry import Orientation, Point, PointSet, orientation
+from .geometry import Orientation, Point, PointSet, extends_general_position, orientation
 from .census import (
     cumulative,
     edge_vector_bruteforce,
@@ -24,15 +24,6 @@ from .census import (
 )
 from .crossings import crossings_bruteforce, crossings_via_identity, exact_lcr_from_E
 from .bounds import bound_refined, bound_simple
-
-
-def _corner_ok(S: PointSet, v: Point) -> bool:
-    n = len(S)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if orientation(S[i], S[j], v) == Orientation.COLLINEAR:
-                return False
-    return True
 
 
 def containing_triangle(S: PointSet) -> Tuple[Point, Point, Point]:
@@ -55,7 +46,7 @@ def containing_triangle(S: PointSet) -> Tuple[Point, Point, Point]:
         if (
             orientation(a, b, c) != Orientation.COLLINEAR
             and all(strictly_inside_triangle(p, tri) for p in S)
-            and all(_corner_ok(S, v) for v in tri)
+            and all(extends_general_position(S.points, v) for v in tri)
         ):
             return tri
         D = D + max(span, 1) + 1

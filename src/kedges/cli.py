@@ -10,10 +10,11 @@ Subcommands:
 * ``epsilon --t0 T``   asymptotic gain integral
 * ``verify FILE``      full cross-check suite
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input.  All
-stdout reports are byte-deterministic for fixed inputs and flags; the
-only non-deterministic output (timings of ``crossings --method both``)
-goes to stderr.  CSV column order is fixed as documented per
+Exit codes: 0 success, 1 verification failure, 2 malformed input or an
+output file that cannot be written.  All stdout reports are
+byte-deterministic for fixed inputs and flags; the only
+non-deterministic output (timings of ``crossings --method both``) goes
+to stderr.  CSV column order is fixed as documented per
 subcommand, and JSON objects are emitted with sorted keys.
 """
 
@@ -39,7 +40,6 @@ from .fileio import (
     PointSetFormatError,
     format_point_set,
     load_point_set,
-    save_point_set,
 )
 from .generators import KINDS, GenerationError, GeneratorSpec, generate
 from .motion import ReductionTrace, reduce_to_triangle
@@ -47,6 +47,18 @@ from .motion import ReductionTrace, reduce_to_triangle
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+
+
+class _OutputError(Exception):
+    """An output file named on the command line cannot be written."""
+
+
+def _write_output(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _OutputError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _emit_json(obj) -> None:
@@ -209,11 +221,9 @@ def _cmd_reduce(args) -> int:
     T, trace = reduce_to_triangle(S)
     nevents = sum(len(st.events) for st in trace.steps)
     if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            json.dump(_trace_obj(trace), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_output(args.trace, json.dumps(_trace_obj(trace), sort_keys=True, indent=2) + "\n")
     if args.out:
-        save_point_set(T, args.out, comment="reduced from %s" % args.file)
+        _write_output(args.out, format_point_set(T, comment="reduced from %s" % args.file))
     if args.json:
         _emit_json(
             {
@@ -281,8 +291,7 @@ def _cmd_generate(args) -> int:
     )
     text = format_point_set(S, comment=comment)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_output(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -381,7 +390,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PointSetFormatError as exc:
+    except (PointSetFormatError, _OutputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except GenerationError as exc:

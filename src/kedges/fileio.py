@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .geometry import PointSet
+from .geometry import GeneralPositionError, PointSet
 
 
 class PointSetFormatError(ValueError):
@@ -56,6 +56,9 @@ def parse_point_set(text: str) -> PointSet:
             ) from None
     try:
         return PointSet(pts)
+    except GeneralPositionError as exc:
+        where = ", ".join("%d" % lines[1 + i][0] for i in exc.triple)
+        raise PointSetFormatError("invalid point set: %s (lines %s)" % (exc, where)) from exc
     except ValueError as exc:
         raise PointSetFormatError("invalid point set: %s" % exc) from exc
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .crossings import crossings_bruteforce
-from .geometry import Point, PointSet
+from .geometry import Point, PointSet, extends_general_position
 
 KINDS = ("random-disc", "convex", "three-cluster", "grid-search")
 
@@ -61,22 +61,19 @@ def _random_disc(n: int, seed: int, scale: int) -> PointSet:
     r = scale or 1000
     rng = random.Random(seed)
     pts = []
+    drawn = set()
     for _ in range(_RANDOM_DISC_TRIES):
         if len(pts) == n:
             break
         x = rng.randint(-r, r)
         y = rng.randint(-r, r)
-        if x * x + y * y > r * r:
+        if x * x + y * y > r * r or (x, y) in drawn:
             continue
-        cand = (x, y)
-        if cand in pts:
-            continue
-        if len(pts) >= 2:
-            try:
-                PointSet(pts + [cand])
-            except ValueError:
-                continue
-        pts.append(cand)
+        # pts only grows, so a draw rejected once is rejected for good
+        drawn.add((x, y))
+        cand = Point(x, y)
+        if extends_general_position(pts, cand):
+            pts.append(cand)
     if len(pts) < n:
         raise GenerationError(
             "could not place %d points in general position in a disc of radius %d" % (n, r)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class Orientation(IntEnum):
@@ -62,24 +62,61 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
+def extends_general_position(points: Sequence[Point], p: Point) -> bool:
+    """True when p is none of ``points`` and lies on no line through two
+    of them.
+
+    Each difference vector q - p is reduced by its gcd to a primitive
+    direction with a fixed sign; p is collinear with two points exactly
+    when two of these directions coincide.  Costs len(points) integer
+    gcds and one set.
+    """
+    px, py = p.x, p.y
+    seen = set()
+    for q in points:
+        dx = q.x - px
+        dy = q.y - py
+        g = gcd(dx, dy)
+        if g == 0:
+            return False
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        d = (dx // g, dy // g)
+        if d in seen:
+            return False
+        seen.add(d)
+    return True
+
+
+def _first_collinear_triple(points: Sequence[Point]) -> Optional[Tuple[int, int, int]]:
+    """The lexicographically first collinear index triple, by the cubic scan."""
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if orientation(points[i], points[j], points[k]) == Orientation.COLLINEAR:
+                    return (i, j, k)
+    return None
+
+
 def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, int, int]]:
     """Return a witnessing collinear index triple, or None if the set is fine.
 
-    Also rejects duplicate points (reported as a degenerate triple is not
-    possible for a pair, so duplicates raise ValueError directly).
+    Duplicate points raise ValueError naming the first repeated pair of
+    indices.  Collinearity is decided in O(n^2) gcds, each point against
+    the points after it; only when that finds a collinear triple does
+    the cubic scan run, so the witness is the lexicographically first
+    collinear index triple.
     """
-    n = len(points)
     seen = {}
     for i, p in enumerate(points):
         key = (p.x, p.y)
         if key in seen:
             raise ValueError("duplicate point at indices (%d, %d)" % (seen[key], i))
         seen[key] = i
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) == Orientation.COLLINEAR:
-                    return (i, j, k)
+    for i, p in enumerate(points):
+        if not extends_general_position(points[i + 1:], p):
+            return _first_collinear_triple(points)
     return None
 
 
@@ -99,6 +136,23 @@ def _clear_denominators(coords) -> Tuple[Point, ...]:
     )
 
 
+def _integer_points(coords: Iterable) -> List[Point]:
+    """The coords as Points, rational ones cleared by _clear_denominators."""
+    items = list(coords)
+    pts = []
+    for item in items:
+        if isinstance(item, Point):
+            pts.append(item)
+            continue
+        x, y = item
+        if not (isinstance(x, int) and isinstance(y, int)):
+            return list(_clear_denominators(
+                tuple(p) if isinstance(p, Point) else (p[0], p[1]) for p in items
+            ))
+        pts.append(Point(x, y))
+    return pts
+
+
 class PointSet:
     """An ordered planar point set in general position.
 
@@ -110,23 +164,7 @@ class PointSet:
     __slots__ = ("points",)
 
     def __init__(self, coords: Iterable):
-        items = list(coords)
-        pts = []
-        exact = True
-        for item in items:
-            if isinstance(item, Point):
-                pts.append(item)
-            else:
-                x, y = item
-                if isinstance(x, int) and isinstance(y, int):
-                    pts.append(Point(x, y))
-                else:
-                    exact = False
-                    break
-        if not exact:
-            pts = list(_clear_denominators(
-                tuple(p) if isinstance(p, Point) else (p[0], p[1]) for p in items
-            ))
+        pts = _integer_points(coords)
         bad = validate_general_position(pts)
         if bad is not None:
             raise GeneralPositionError(bad)
@@ -154,10 +192,22 @@ class PointSet:
         return "PointSet(%r)" % (list((p.x, p.y) for p in self.points),)
 
     def replace(self, i: int, p) -> "PointSet":
-        """A copy with point i moved to p (p may have rational coordinates)."""
-        coords = [(q.x, q.y) for q in self.points]
-        coords[i] = (p[0], p[1]) if not isinstance(p, Point) else (p.x, p.y)
-        return PointSet(coords)
+        """A copy with point i moved to p (p may have rational coordinates).
+
+        Clearing denominators rescales every point by one positive
+        factor, which keeps the unmoved points in general position, so
+        only the moved point is checked against the others.  A move that
+        breaks general position raises exactly as the constructor does.
+        """
+        coords = list(self.points)
+        coords[i] = p if isinstance(p, Point) else (p[0], p[1])
+        pts = _integer_points(coords)
+        i %= len(pts)
+        if not extends_general_position(pts[:i] + pts[i + 1:], pts[i]):
+            return PointSet(pts)
+        moved = object.__new__(PointSet)
+        object.__setattr__(moved, "points", tuple(pts))
+        return moved
 
 
 def convex_hull(S: PointSet) -> Tuple[int, ...]:

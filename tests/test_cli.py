@@ -95,6 +95,20 @@ def test_generate_to_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_unwritable_output_is_an_input_error(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    src = tmp_path / "s.txt"
+    save_point_set(convex_polygon(5), src)
+    for argv in (
+        ["generate", "--kind", "convex", "--n", "5", "--out", str(missing / "x.txt")],
+        ["reduce", str(src), "--trace", str(missing / "t.json")],
+        ["reduce", str(src), "--out", str(missing / "r.txt")],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: cannot write")
+
+
 def test_reduce_summary_and_trace(capsys, tmp_path):
     src = tmp_path / "s.txt"
     save_point_set(random_point_set(__import__("random").Random(12), 8, radius=40), src)

@@ -59,6 +59,14 @@ def test_error_messages_carry_line_numbers():
     assert "line 5" in str(info.value)
 
 
+def test_collinear_triple_reports_file_lines():
+    with pytest.raises(PointSetFormatError) as info:
+        parse_point_set("# c\n3\n\n0 0\n1 1\n# gap\n2 2\n")
+    msg = str(info.value)
+    assert "indices (0, 1, 2)" in msg
+    assert "lines 4, 5, 7" in msg
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(PointSetFormatError):
         load_point_set(tmp_path / "nope.txt")
