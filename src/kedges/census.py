@@ -10,16 +10,14 @@ quadratic-per-point brute force and an O(n^2 log n) rotational sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .geometry import (
-    GeneralPositionError,
     Orientation,
     Point,
     PointSet,
-    cross,
+    angular_order,
     orientation,
 )
 
@@ -127,29 +125,6 @@ def edge_vector_bruteforce(S: PointSet) -> EdgeVector:
     return EdgeVector(n, tuple(counts))
 
 
-def _angular_sort(vecs: List[Tuple[int, int, int]], pivot: int) -> List[Tuple[int, int, int]]:
-    """Sort (dx, dy, index) vectors counterclockwise from angle 0.
-
-    A tie means two points are collinear with the pivot, which general
-    position forbids; the comparator reports it as a violation.
-    """
-
-    def half(v):
-        dx, dy, _ = v
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = u[0] * v[1] - u[1] * v[0]
-        if c == 0:
-            raise GeneralPositionError(tuple(sorted((pivot, u[2], v[2]))))
-        return -1 if c > 0 else 1
-
-    return sorted(vecs, key=cmp_to_key(cmp))
-
-
 def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     """Histogram H where H[r] counts ordered pairs (p, q) with exactly r
     points strictly to the right of the directed line p -> q.
@@ -163,9 +138,7 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
         raise ValueError("census needs at least 3 points")
     H = [0] * (n - 1)
     for p in range(n):
-        o = S[p]
-        vecs = [(S[j].x - o.x, S[j].y - o.y, j) for j in range(n) if j != p]
-        vs = _angular_sort(vecs, p)
+        vs = angular_order(S, p)
         t = len(vs)
         k = 0
         for i in range(t):

@@ -71,13 +71,15 @@ def crossings_bruteforce(S: PointSet) -> CrossingReport:
 
 def crossings_via_identity(S: PointSet) -> CrossingReport:
     """Crossing count from the sweep census via the exact identity."""
-    n = len(S)
-    e = edge_vector_sweep(S)
-    weighted = sum(j * (n - j - 2) * e.e[j] for j in range(len(e.e)))
-    total = quadruple_constant(n) - weighted
-    if total < 0 or total > comb(n, 4):
-        raise CensusError("identity yielded %d crossings for n=%d" % (total, n))
-    return CrossingReport(n, total, "identity")
+    return CrossingReport(len(S), crossings_from_census(edge_vector_sweep(S)), "identity")
+
+
+def crossings_from_census(e: EdgeVector) -> int:
+    """Crossing count of a set whose census is e, via the exact identity."""
+    total = quadruple_constant(e.n) - identity_weighted_sum(e)
+    if total < 0 or total > comb(e.n, 4):
+        raise CensusError("identity yielded %d crossings for n=%d" % (total, e.n))
+    return total
 
 
 def exact_lcr_from_E(E: CumulativeEdgeVector) -> int:

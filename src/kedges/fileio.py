@@ -68,6 +68,11 @@ def load_point_set(path) -> PointSet:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise PointSetFormatError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise PointSetFormatError(
+            "cannot read %s: not ASCII text (byte 0x%02x at offset %d)"
+            % (path, exc.object[exc.start], exc.start)
+        ) from exc
     return parse_point_set(text)
 
 

@@ -132,6 +132,8 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
     """
     r = scale or 2
     cells = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+    if n > len(cells):
+        raise ValueError("n=%d exceeds the %d cells of the grid of radius %d" % (n, len(cells), r))
     if comb(len(cells), n) <= _EXHAUSTIVE_BUDGET:
         best = None
         for combo in itertools.combinations(cells, n):

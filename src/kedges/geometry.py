@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -208,6 +209,32 @@ class PointSet:
         moved = object.__new__(PointSet)
         object.__setattr__(moved, "points", tuple(pts))
         return moved
+
+
+def angular_order(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
+    """The vectors (dx, dy, j) from point p to every other point j,
+    sorted counterclockwise from angle 0.
+
+    A tie means two points are collinear with p, which general position
+    forbids; the comparator reports it as a GeneralPositionError.
+    """
+    o = S[p]
+    vecs = [(q.x - o.x, q.y - o.y, j) for j, q in enumerate(S) if j != p]
+
+    def half(v):
+        dx, dy, _ = v
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cmp(u, v):
+        hu, hv = half(u), half(v)
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = u[0] * v[1] - u[1] * v[0]
+        if c == 0:
+            raise GeneralPositionError(tuple(sorted((p, u[2], v[2]))))
+        return -1 if c > 0 else 1
+
+    return sorted(vecs, key=cmp_to_key(cmp))
 
 
 def convex_hull(S: PointSet) -> Tuple[int, ...]:

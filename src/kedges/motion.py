@@ -21,15 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .census import EdgeVector, edge_vector_sweep
-from .crossings import crossings_via_identity
+from .crossings import crossings_from_census
 from .geometry import (
     GeneralPositionError,
-    Orientation,
     Point,
     PointSet,
+    angular_order,
     convex_hull,
     cross,
 )
@@ -129,20 +129,16 @@ def _farey_weights(index: int) -> Tuple[int, int]:
 def _wedge_sorted(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
     """Vectors to the other points, sorted counterclockwise.
 
-    Requires p extreme, so all vectors fit in an open half plane and
-    the pairwise cross product induces a total order.
+    Requires p extreme: the vectors then fit in an open half plane, so
+    exactly one gap of angular_order(S, p) is reflex, and the wedge
+    order is that list rotated to start just after it.
     """
-    import functools
-
-    vecs = [(S[j].x - S[p].x, S[j].y - S[p].y, j) for j in range(len(S)) if j != p]
-
-    def cmp(u, v):
-        c = u[0] * v[1] - u[1] * v[0]
-        if c == 0:
-            raise GeneralPositionError(tuple(sorted((p, u[2], v[2]))))
-        return -1 if c > 0 else 1
-
-    return sorted(vecs, key=functools.cmp_to_key(cmp))
+    vs = angular_order(S, p)
+    for i in range(len(vs)):
+        u, w = vs[i - 1], vs[i]
+        if u[0] * w[1] - u[1] * w[0] < 0:
+            return vs[i:] + vs[:i]
+    raise ValueError("point %d is not extreme" % p)
 
 
 def halving_ray(S: PointSet, p: int, attempt: int = 0) -> HalvingRay:
@@ -257,11 +253,6 @@ def _constrained_ray(
     raise RuntimeError("internal: no admissible tail direction found")
 
 
-def _orient_frac(ax, ay, bx, by, cx, cy) -> int:
-    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (d > 0) - (d < 0)
-
-
 def _line_intersection_inside_hull(S: PointSet, rp: Ray, rq: Ray) -> bool:
     """Whether the supporting lines of the two rays meet strictly
     inside the convex hull of S."""
@@ -278,7 +269,7 @@ def _line_intersection_inside_hull(S: PointSet, rp: Ray, rq: Ray) -> bool:
     for i in range(len(hull)):
         a = S[hull[i]]
         b = S[hull[(i + 1) % len(hull)]]
-        if _orient_frac(a.x, a.y, b.x, b.y, zx, zy) <= 0:
+        if cross(a.x, a.y, b.x, b.y, zx, zy) <= 0:
             return False
     return True
 
@@ -332,41 +323,38 @@ def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[Fraction, Tuple[int, 
     return out
 
 
-def _classify(S: PointSet, ray: Ray, t: Fraction, t_prev: Fraction, pair: Tuple[int, int]) -> MutationEvent:
+def _classify(S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int]) -> MutationEvent:
+    """The event at parameter t where the moving point crosses the line
+    through ``pair``, decided by integer signs alone.
+
+    The center is the middle point of the collinear triple at t.  Before
+    t no other point changes side of the line through the two non-center
+    points (that would be an earlier event), and at t that line is the
+    line through ``pair``.  So k counts the points on the moving point's
+    side of that line when it is the center, and on the other side
+    otherwise.
+    """
     p = ray.anchor
     dx, dy = ray.direction
     i, j = pair
-    # position of the moving point exactly at the event
-    ex = S[p].x + t * dx
-    ey = S[p].y + t * dy
-    a, b = S[i], S[j]
-    span = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    s_p = (ex - a.x) * (b.x - a.x) + (ey - a.y) * (b.y - a.y)
-    if 0 < s_p < span:
+    a, b, p0 = S[i], S[j], S[p]
+    # the event lies at a + lam*(b - a) with lam = num / den
+    num = (p0.x - a.x) * dy - (p0.y - a.y) * dx
+    den = (b.x - a.x) * dy - (b.y - a.y) * dx
+    if den < 0:
+        num, den = -num, -den
+    if 0 < num < den:
         center = p
-    elif s_p < 0:
+    elif num < 0:
         center = i
     else:
         center = j
-    # side counts just before the event
-    tb = (t_prev + t) / 2
-    mx = S[p].x + tb * dx
-    my = S[p].y + tb * dy
-    coords: Dict[int, Tuple[Fraction, Fraction]] = {
-        idx: (Fraction(S[idx].x), Fraction(S[idx].y)) for idx in range(len(S))
-    }
-    coords[p] = (mx, my)
-    line = [x for x in (p, i, j) if x != center]
-    la, lb = coords[line[0]], coords[line[1]]
-    cc = coords[center]
-    ref = _orient_frac(la[0], la[1], lb[0], lb[1], cc[0], cc[1])
-    k = 0
-    for idx in range(len(S)):
-        if idx in (p, i, j):
-            continue
-        z = coords[idx]
-        if _orient_frac(la[0], la[1], lb[0], lb[1], z[0], z[1]) == ref:
-            k += 1
+    pos, neg = _h_side_counts(S, i, j)
+    p_pos = cross(a.x, a.y, b.x, b.y, p0.x, p0.y) > 0
+    if center == p:
+        k = (pos if p_pos else neg) - 1
+    else:
+        k = neg if p_pos else pos
     n = len(S)
     return MutationEvent(
         moving=p, pair=pair, t=t, center=center, k=k, crossing_delta=2 * k - n + 3
@@ -381,12 +369,7 @@ def _events(S: PointSet, ray: Ray, stop: Optional[Fraction]) -> List[MutationEve
     for a, b in zip(raw, raw[1:]):
         if a[0] == b[0]:
             raise SimultaneousEventError(a[0], [a[1], b[1]])
-    out = []
-    t_prev = Fraction(0)
-    for t, pair in raw:
-        out.append(_classify(S, ray, t, t_prev, pair))
-        t_prev = t
-    return out
+    return [_classify(S, ray, t, pair) for t, pair in raw]
 
 
 def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
@@ -420,9 +403,10 @@ def apply_motion(S: PointSet, p: int, ray: Ray, stop) -> PointSet:
 
 
 def config_summary(S: PointSet) -> ConfigSummary:
+    e = edge_vector_sweep(S)
     return ConfigSummary(
-        crossings=crossings_via_identity(S).crossings,
-        edge_vector=edge_vector_sweep(S),
+        crossings=crossings_from_census(e),
+        edge_vector=e,
         hull_size=len(convex_hull(S)),
     )
 

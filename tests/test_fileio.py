@@ -72,6 +72,16 @@ def test_missing_file(tmp_path):
         load_point_set(tmp_path / "nope.txt")
 
 
+def test_non_ascii_file_names_the_file(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"3\n0 0\n1 \xff\n2 5\n")
+    with pytest.raises(PointSetFormatError) as info:
+        load_point_set(path)
+    msg = str(info.value)
+    assert msg.startswith("cannot read %s: not ASCII text" % path)
+    assert "0xff" in msg
+
+
 def test_packaged_halving_maximizer():
     S = packaged_point_set("halving_max_n8.txt")
     assert len(S) == 8

@@ -1,5 +1,6 @@
 """Exact predicates, general-position validation, hulls, order types."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from kedges import (
     Orientation,
     Point,
     PointSet,
+    angular_order,
     convex_hull,
     cross,
     hull_size,
@@ -18,6 +20,7 @@ from kedges import (
     orientation,
     validate_general_position,
 )
+from kedges.motion import _wedge_sorted
 from helpers import brute_is_interior, convex_polygon, random_point_set
 
 
@@ -143,3 +146,34 @@ def test_order_type_detects_single_flip():
     T = PointSet([(0, 0), (10, 0), (0, 10), (6, 6)])
     d = order_type(S).diff(order_type(T))
     assert d == {(1, 2, 3)}
+
+
+def test_angular_order_matches_atan2():
+    rng = random.Random(202)
+    for _ in range(60):
+        S = random_point_set(rng, rng.randint(3, 12))
+        for p in range(len(S)):
+            o = S[p]
+            want = sorted(
+                (j for j in range(len(S)) if j != p),
+                key=lambda j: math.atan2(S[j].y - o.y, S[j].x - o.x) % (2 * math.pi),
+            )
+            vs = angular_order(S, p)
+            assert [v[2] for v in vs] == want
+            assert all((v[0], v[1]) == (S[v[2]].x - o.x, S[v[2]].y - o.y) for v in vs)
+
+
+def test_wedge_order_spans_from_boundary_to_boundary():
+    rng = random.Random(203)
+    for _ in range(60):
+        S = random_point_set(rng, rng.randint(3, 12))
+        for p in convex_hull(S):
+            vs = _wedge_sorted(S, p)
+            order = angular_order(S, p)
+            start = order.index(vs[0])
+            assert vs == order[start:] + order[:start]
+            first, last = vs[0], vs[-1]
+            # every other vector lies strictly counterclockwise of the
+            # first and strictly clockwise of the last
+            assert all(cross(0, 0, first[0], first[1], v[0], v[1]) > 0 for v in vs[1:])
+            assert all(cross(0, 0, v[0], v[1], last[0], last[1]) > 0 for v in vs[:-1])

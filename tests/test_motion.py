@@ -24,6 +24,7 @@ from kedges import (
     is_halving_ray,
     motion_events,
     order_type,
+    orientation,
     reduce_to_triangle,
 )
 from helpers import convex_polygon, random_point_set
@@ -270,6 +271,55 @@ def test_event_laws_verified_by_replay():
             assert order_type(A).diff(order_type(B)) == {tuple(sorted((p,) + ev.pair))}
             prev_t = ev.t
         checked += 1
+
+
+def _recount_events(S, ray, events):
+    """Assert each event's center and k against an independent recount.
+
+    The center is the middle point, in (x, y) order, of the collinear
+    triple at the exact event position.  k is recounted with
+    ``orientation`` on the set moved to the midpoint of the previous and
+    current event parameters: the points other than the triple on the
+    center's side of the line through the other two.
+    """
+    p = ray.anchor
+    dx, dy = ray.direction
+    prev_t = Fraction(0)
+    for ev in events:
+        i, j = ev.pair
+        at = {i: (S[i].x, S[i].y), j: (S[j].x, S[j].y)}
+        at[p] = (S[p].x + ev.t * dx, S[p].y + ev.t * dy)
+        center = sorted(at, key=at.get)[1]
+        A = apply_motion(S, p, ray, (prev_t + ev.t) / 2)
+        a, b = (A[x] for x in (p, i, j) if x != center)
+        side = orientation(a, b, A[center])
+        k = sum(
+            1
+            for x in range(len(A))
+            if x not in (p, i, j) and orientation(a, b, A[x]) == side
+        )
+        assert (ev.center, ev.k) == (center, k), (S, ray, ev)
+        prev_t = ev.t
+
+
+def test_event_center_and_k_match_recount():
+    rng = random.Random(555)
+    rays = 0
+    for _ in range(40):
+        S = random_point_set(rng, rng.randint(4, 11), radius=30)
+        candidates = [halving_ray(S, p, a) for p in convex_hull(S) for a in range(2)]
+        for _ in range(3):
+            d = (rng.randint(-7, 7), rng.randint(-7, 7))
+            if d != (0, 0):
+                candidates.append(Ray(rng.randrange(len(S)), d))
+        for ray in candidates:
+            try:
+                events = motion_events(S, ray.anchor, ray, all_events_stop(S))
+            except SimultaneousEventError:
+                continue
+            _recount_events(S, ray, events)
+            rays += 1
+    assert rays > 300
 
 
 # ---------------------------------------------------------- reduction
