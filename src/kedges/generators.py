@@ -131,9 +131,12 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
     one kept.
     """
     r = scale or 2
+    if n > 2 * (2 * r + 1):
+        raise ValueError(
+            "n=%d exceeds %d: the %d rows of the grid of radius %d hold at most two points each"
+            " in general position" % (n, 2 * (2 * r + 1), 2 * r + 1, r)
+        )
     cells = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
-    if n > len(cells):
-        raise ValueError("n=%d exceeds the %d cells of the grid of radius %d" % (n, len(cells), r))
     if comb(len(cells), n) <= _EXHAUSTIVE_BUDGET:
         best = None
         for combo in itertools.combinations(cells, n):

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .census import EdgeVector, edge_vector_sweep
 from .crossings import crossings_from_census
@@ -38,13 +39,15 @@ from .geometry import (
 class SimultaneousEventError(RuntimeError):
     """Two mutation events share a parameter value.
 
-    The caller is expected to retry with a direction nudged inside the
+    ``moving`` is the anchor of the ray whose motion hit them, so the
+    caller knows which ray to retry with a direction nudged inside the
     same angular gap; only finitely many directions are degenerate.
     """
 
-    def __init__(self, t: Fraction, pairs):
+    def __init__(self, t: Fraction, pairs, moving: int):
         self.t = t
         self.pairs = tuple(pairs)
+        self.moving = moving
         super().__init__("events for pairs %r coincide at t=%s" % (self.pairs, t))
 
 
@@ -107,23 +110,16 @@ def _primitive(dx: int, dy: int) -> Tuple[int, int]:
     return (dx // g, dy // g)
 
 
-def _farey_weights(index: int) -> Tuple[int, int]:
+def _farey_weights() -> Iterator[Tuple[int, int]]:
     """Deterministic enumeration (1,1), (1,2), (2,1), (1,3), (3,1), ...
 
     of coprime positive weight pairs, used to pick (and re-pick) a
     direction strictly inside an angular gap.
     """
-    count = 0
-    s = 2
-    while True:
+    for s in count(2):
         for a in range(1, s):
-            b = s - a
-            if gcd(a, b) != 1:
-                continue
-            if count == index:
-                return (a, b)
-            count += 1
-        s += 1
+            if gcd(a, s - a) == 1:
+                yield (a, s - a)
 
 
 def _wedge_sorted(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
@@ -141,24 +137,43 @@ def _wedge_sorted(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
     raise ValueError("point %d is not extreme" % p)
 
 
-def halving_ray(S: PointSet, p: int, attempt: int = 0) -> HalvingRay:
-    """A halving ray for the extreme point p.
+def _tail_ray(
+    S: PointSet, p: int, attempt: int, side: Optional[Tuple[int, int]] = None
+) -> HalvingRay:
+    """The ``attempt``-th halving ray for the extreme point p.
 
     The other points are sorted by angle around p; the tail direction
-    is taken strictly inside the median angular gap (splitting the
-    points (n-1)/2 : (n-1)/2 for odd n and (n-2)/2 : n/2 for even n)
-    and the head points the opposite way, leaving the set.  ``attempt``
-    selects progressively different directions inside the same gap.
+    is taken strictly inside a median angular gap (splitting the points
+    (n-1)/2 : (n-1)/2 for odd n and (n-2)/2 : n/2 for even n) and the
+    head points the opposite way, leaving the set.  Unconstrained, the
+    gap after (n-1)//2 points is used with the ``attempt``-th weight
+    pair.  Given ``side`` h, the tail must also enter the left side of
+    h (cross(h, tail) > 0): a median gap whose whole cone lies on the
+    wrong side is skipped, and only weight pairs whose combination
+    crosses into that side are counted.
     """
-    if p not in convex_hull(S):
-        raise ValueError("point %d is not extreme" % p)
+    n = len(S)
     vs = _wedge_sorted(S, p)
-    g = (len(S) - 1) // 2
-    u, w = vs[g - 1], vs[g]
-    a, b = _farey_weights(attempt)
-    tx, ty = a * u[0] + b * w[0], a * u[1] + b * w[1]
-    dx, dy = _primitive(-tx, -ty)
-    return HalvingRay(p, (dx, dy))
+    for g in range((n - 1) // 2, n // 2 + 1):
+        u, w = vs[g - 1], vs[g]
+        if side is None:
+            cu = cw = 1
+        else:
+            cu = side[0] * u[1] - side[1] * u[0]
+            cw = side[0] * w[1] - side[1] * w[0]
+            if cu <= 0 and cw <= 0:
+                continue
+        admissible = ((a, b) for a, b in _farey_weights() if a * cu + b * cw > 0)
+        a, b = next(islice(admissible, attempt, None))
+        return HalvingRay(p, _primitive(-(a * u[0] + b * w[0]), -(a * u[1] + b * w[1])))
+    raise RuntimeError("internal: no admissible tail direction found")
+
+
+def halving_ray(S: PointSet, p: int, attempt: int = 0) -> HalvingRay:
+    """A halving ray for the extreme point p, oriented away from the
+    set; ``attempt`` selects progressively different directions inside
+    the same median angular gap."""
+    return _tail_ray(S, p, attempt)
 
 
 def is_halving_ray(S: PointSet, ray: Ray) -> bool:
@@ -169,29 +184,20 @@ def is_halving_ray(S: PointSet, ray: Ray) -> bool:
     must point away from the set (the tail direction lies strictly
     inside the angular wedge spanned by the other points).
     """
-    p = ray.anchor
-    if p not in convex_hull(S):
+    try:
+        vs = _wedge_sorted(S, ray.anchor)
+    except ValueError:
         return False
-    dx, dy = ray.direction
-    tx, ty = -dx, -dy
-    left = right = 0
-    for j in range(len(S)):
-        if j == p:
-            continue
-        vx, vy = S[j].x - S[p].x, S[j].y - S[p].y
-        c = tx * vy - ty * vx
-        if c == 0:
-            return False
-        if c > 0:
-            left += 1
-        else:
-            right += 1
+    tx, ty = -ray.direction[0], -ray.direction[1]
+    sides = [tx * v[1] - ty * v[0] for v in vs]
+    if 0 in sides:
+        return False
+    left = sum(1 for c in sides if c > 0)
     n = len(S)
-    if {left, right} != ({(n - 1) // 2, n // 2} if n % 2 == 1 else {(n - 2) // 2, n // 2}):
+    if min(left, n - 1 - left) != (n - 1) // 2:
         return False
     # head away from the set: the tail must lie strictly inside the
     # angular wedge, i.e. strictly between its two boundary vectors
-    vs = _wedge_sorted(S, p)
     first = vs[0]
     last = vs[-1]
     return (
@@ -214,48 +220,19 @@ def _h_side_counts(S: PointSet, p: int, q: int) -> Tuple[int, int]:
     return pos, neg
 
 
-def _constrained_ray(
-    S: PointSet, anchor: int, h_vec: Tuple[int, int], h_sign: int, attempt: int
-) -> HalvingRay:
-    """A halving ray for ``anchor`` (a point on the line with direction
-    ``h_vec``) whose tail enters the side of that line with orientation
-    sign ``h_sign``.
-
-    Of the one (odd n) or two (even n) median angular gaps, gaps whose
-    whole direction cone lies on the wrong side of the line are
-    skipped; inside an admissible gap, weight pairs are enumerated and
-    filtered to combinations crossing into the required side.
-    """
-    n = len(S)
-    if anchor not in convex_hull(S):
-        raise ValueError("point %d is not extreme" % anchor)
-    hx, hy = h_vec
-    vs = _wedge_sorted(S, anchor)
-    gaps = [(n - 1) // 2] if n % 2 == 1 else [(n - 1) // 2, n // 2]
-    for g in gaps:
-        u, w = vs[g - 1], vs[g]
-        cu = h_sign * (hx * u[1] - hy * u[0])
-        cw = h_sign * (hx * w[1] - hy * w[0])
-        if cu <= 0 and cw <= 0:
-            continue
-        picked = 0
-        index = 0
-        while True:
-            a, b = _farey_weights(index)
-            index += 1
-            if a * cu + b * cw <= 0:
-                continue
-            if picked == attempt:
-                tx, ty = a * u[0] + b * w[0], a * u[1] + b * w[1]
-                dx, dy = _primitive(-tx, -ty)
-                return HalvingRay(anchor, (dx, dy))
-            picked += 1
-    raise RuntimeError("internal: no admissible tail direction found")
+def _heavy_side(S: PointSet, p: int, q: int) -> Tuple[int, int]:
+    """The direction of line pq, oriented so that its left side holds
+    at least as many of the other points as its right side."""
+    pos, neg = _h_side_counts(S, p, q)
+    hx, hy = S[q].x - S[p].x, S[q].y - S[p].y
+    return (hx, hy) if pos >= neg else (-hx, -hy)
 
 
-def _line_intersection_inside_hull(S: PointSet, rp: Ray, rq: Ray) -> bool:
+def _line_intersection_inside_hull(
+    S: PointSet, hull: Tuple[int, ...], rp: Ray, rq: Ray
+) -> bool:
     """Whether the supporting lines of the two rays meet strictly
-    inside the convex hull of S."""
+    inside the convex hull ``hull`` of S."""
     p, q = S[rp.anchor], S[rq.anchor]
     dp, dq = rp.direction, rq.direction
     denom = dp[0] * dq[1] - dp[1] * dq[0]
@@ -265,13 +242,23 @@ def _line_intersection_inside_hull(S: PointSet, rp: Ray, rq: Ray) -> bool:
     s = Fraction((q.x - p.x) * dq[1] - (q.y - p.y) * dq[0], denom)
     zx = p.x + s * dp[0]
     zy = p.y + s * dp[1]
-    hull = convex_hull(S)
     for i in range(len(hull)):
         a = S[hull[i]]
         b = S[hull[(i + 1) % len(hull)]]
         if cross(a.x, a.y, b.x, b.y, zx, zy) <= 0:
             return False
     return True
+
+
+def _ray_pair(
+    S: PointSet, hull: Tuple[int, ...], p: int, q: int, h: Tuple[int, int],
+    attempt_p: int, attempt_q: int,
+) -> Tuple[HalvingRay, HalvingRay]:
+    ray_p = _tail_ray(S, p, attempt_p, h)
+    ray_q = _tail_ray(S, q, attempt_q, h)
+    if not _line_intersection_inside_hull(S, hull, ray_p, ray_q):
+        raise RuntimeError("internal: ray lines do not cross inside the hull")
+    return ray_p, ray_q
 
 
 def halving_ray_pair(
@@ -287,14 +274,7 @@ def halving_ray_pair(
     ip, iq = hull.index(p), hull.index(q)
     if (ip - iq) % len(hull) in (1, len(hull) - 1):
         raise ValueError("points %d and %d are consecutive on the hull" % (p, q))
-    pos, neg = _h_side_counts(S, p, q)
-    h_sign = 1 if pos >= neg else -1
-    h_vec = (S[q].x - S[p].x, S[q].y - S[p].y)
-    ray_p = _constrained_ray(S, p, h_vec, h_sign, attempt_p)
-    ray_q = _constrained_ray(S, q, h_vec, h_sign, attempt_q)
-    if not _line_intersection_inside_hull(S, ray_p, ray_q):
-        raise RuntimeError("internal: ray lines do not cross inside the hull")
-    return ray_p, ray_q
+    return _ray_pair(S, hull, p, q, _heavy_side(S, p, q), attempt_p, attempt_q)
 
 
 def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[Fraction, Tuple[int, int]]]:
@@ -368,7 +348,7 @@ def _events(S: PointSet, ray: Ray, stop: Optional[Fraction]) -> List[MutationEve
     raw.sort(key=lambda ev: ev[0])
     for a, b in zip(raw, raw[1:]):
         if a[0] == b[0]:
-            raise SimultaneousEventError(a[0], [a[1], b[1]])
+            raise SimultaneousEventError(a[0], [a[1], b[1]], ray.anchor)
     return [_classify(S, ray, t, pair) for t, pair in raw]
 
 
@@ -418,20 +398,19 @@ class _RoundRetry(Exception):
     """The parallel stop line was not placed close enough to the set."""
 
 
-def _signed_offset(h_vec, h_sign, origin: Point, x, y):
+def _signed_offset(h, origin: Point, x, y):
     """Signed distance surrogate of (x, y) across the line through
-    ``origin`` with direction ``h_vec``; positive on the tail side."""
-    hx, hy = h_vec
-    return h_sign * (hx * (y - origin.y) - hy * (x - origin.x))
+    ``origin`` with direction h; positive on its left (tail) side."""
+    return h[0] * (y - origin.y) - h[1] * (x - origin.x)
 
 
-def _stop_at_offset(S: PointSet, ray: Ray, h_vec, h_sign, origin: Point, target) -> Fraction:
+def _stop_at_offset(S: PointSet, ray: Ray, h, origin: Point, target) -> Fraction:
     """Parameter at which the ray's anchor reaches signed offset
     ``target``; the head must be driving the offset down."""
     a = S[ray.anchor]
-    start = _signed_offset(h_vec, h_sign, origin, a.x, a.y)
+    start = _signed_offset(h, origin, a.x, a.y)
     dx, dy = ray.direction
-    rate = h_sign * (h_vec[0] * dy - h_vec[1] * dx)
+    rate = h[0] * dy - h[1] * dx
     if rate >= 0:
         raise RuntimeError("internal: ray head does not leave across the pair line")
     t = Fraction(target - start, rate)
@@ -440,52 +419,36 @@ def _stop_at_offset(S: PointSet, ray: Ray, h_vec, h_sign, origin: Point, target)
     return t
 
 
+def _land(S: PointSet, ray: Ray, stop: Fraction) -> Tuple[PointSet, MotionStep]:
+    """Move the ray's anchor to ``stop``, with the events on the way;
+    a stop on an event raises _RoundRetry."""
+    events = _events(S, ray, stop)
+    if events and events[-1].t == stop:
+        raise _RoundRetry
+    return apply_motion(S, ray.anchor, ray, stop), MotionStep(ray.anchor, ray, stop, tuple(events))
+
+
 def _round_once(
-    S0: PointSet, p: int, q: int, attempt_p: int, attempt_q: int, depth: Fraction
+    S0: PointSet, hull: Tuple[int, ...], p: int, q: int, h: Tuple[int, int],
+    attempt: Dict[int, int], target: Fraction,
 ) -> Tuple[PointSet, List[MotionStep]]:
     """One reduction round: move p, then q, onto the common line
-    parallel to their connecting line at ``depth`` beyond the set.
+    parallel to their connecting line at signed offset ``target``
+    across h (the heavy-side direction of line pq), beyond the set.
 
-    Raises SimultaneousEventError (with ``phase`` marking which motion)
-    when a ray needs a nudge, and _RoundRetry when the stop line has to
-    move closer to the set.
+    ``hull`` is the hull of S0 and ``attempt`` maps p and q to the
+    tail-direction attempt of their rays.  Raises
+    SimultaneousEventError (whose ``moving`` names the ray to nudge)
+    and _RoundRetry when the stop line has to move closer to the set.
     """
-    ray_p, ray_q = halving_ray_pair(S0, p, q, attempt_p, attempt_q)
-    pos, neg = _h_side_counts(S0, p, q)
-    h_sign = 1 if pos >= neg else -1
-    h_vec = (S0[q].x - S0[p].x, S0[q].y - S0[p].y)
-    low = min(
-        _signed_offset(h_vec, h_sign, S0[p], S0[j].x, S0[j].y)
-        for j in range(len(S0))
-        if j != p and j != q
-    )
-    target = low - depth
-    t_p = _stop_at_offset(S0, ray_p, h_vec, h_sign, S0[p], target)
-    try:
-        events_p = _events(S0, ray_p, t_p)
-    except SimultaneousEventError as exc:
-        exc.phase = 0
-        raise
-    if events_p and events_p[-1].t == t_p:
-        raise _RoundRetry
-    S1 = apply_motion(S0, p, ray_p, t_p)
-    step_p = MotionStep(p, ray_p, t_p, tuple(events_p))
-
+    ray_p, ray_q = _ray_pair(S0, hull, p, q, h, attempt[p], attempt[q])
+    S1, step_p = _land(S0, ray_p, _stop_at_offset(S0, ray_p, h, S0[p], target))
     # moving p never crosses the line of q's ray (the two lines meet in
     # their tails, inside the hull), so the split is untouched; only q's
     # extremality could degrade, in which case the stop line moves closer
     if not is_halving_ray(S1, ray_q):
         raise _RoundRetry
-    t_q = _stop_at_offset(S1, ray_q, h_vec, h_sign, S1[p], Fraction(0))
-    try:
-        events_q = _events(S1, ray_q, t_q)
-    except SimultaneousEventError as exc:
-        exc.phase = 1
-        raise
-    if events_q and events_q[-1].t == t_q:
-        raise _RoundRetry
-    S2 = apply_motion(S1, q, ray_q, t_q)
-    step_q = MotionStep(q, ray_q, t_q, tuple(events_q))
+    S2, step_q = _land(S1, ray_q, _stop_at_offset(S1, ray_q, h, S1[p], Fraction(0)))
     return S2, [step_p, step_q]
 
 
@@ -502,33 +465,36 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     and the hull points between the pair on the stop-line side become
     interior, so the hull shrinks every round.  If a stop line turns
     out to sit too deep (a landing hits an event, or the hull fails to
-    shrink), it is retried exponentially closer to the set.
+    shrink), it is retried exponentially closer to the set; if a motion
+    hits simultaneous events, that point's ray is nudged.
     """
     steps: List[MotionStep] = []
     before = config_summary(S)
-    while True:
-        hull = convex_hull(S)
-        if len(hull) == 3:
-            break
+    hull = convex_hull(S)
+    while len(hull) > 3:
         p, q = hull[0], hull[2]
-        size_before = len(hull)
-        attempt = [0, 0]
+        h = _heavy_side(S, p, q)
+        low = min(
+            _signed_offset(h, S[p], pt.x, pt.y) for j, pt in enumerate(S) if j != p and j != q
+        )
+        attempt = {p: 0, q: 0}
         depth_exp = 0
         for _ in range(_MAX_ATTEMPTS):
             try:
                 S2, new_steps = _round_once(
-                    S, p, q, attempt[0], attempt[1], Fraction(1, 2 ** depth_exp)
+                    S, hull, p, q, h, attempt, low - Fraction(1, 2 ** depth_exp)
                 )
             except SimultaneousEventError as exc:
-                attempt[getattr(exc, "phase", 0)] += 1
+                attempt[exc.moving] += 1
                 continue
             except (_RoundRetry, GeneralPositionError):
                 depth_exp += 1
                 continue
-            if len(convex_hull(S2)) >= size_before:
+            hull2 = convex_hull(S2)
+            if len(hull2) >= len(hull):
                 depth_exp += 1
                 continue
-            S = S2
+            S, hull = S2, hull2
             steps.extend(new_steps)
             break
         else:

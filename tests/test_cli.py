@@ -154,9 +154,11 @@ def test_verify_ok_and_exit_codes(capsys, tmp_path, hexagon_file):
     code, _, err = run(capsys, ["generate", "--kind", "random-disc", "--n", "9", "--scale", "1"])
     assert code == 1
 
-    # more points than the 25 cells of the default grid is bad input
-    code, _, err = run(capsys, ["generate", "--kind", "grid-search", "--n", "26"])
-    assert code == 2 and "exceeds the 25 cells" in err
+    # a grid row holds at most two points in general position, so more
+    # than ten points on the default grid of five rows is bad input
+    for n in ("11", "26"):
+        code, _, err = run(capsys, ["generate", "--kind", "grid-search", "--n", n])
+        assert code == 2 and "exceeds 10: the 5 rows" in err
 
 
 def test_verify_many_seeded_sets(capsys, tmp_path):

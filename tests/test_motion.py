@@ -101,6 +101,21 @@ def test_halving_ray_invariants_random():
         checked += 1
 
 
+def test_is_halving_ray_rejections_return_false():
+    S = PointSet([(0, 0), (10, 0), (10, 10), (0, 10), (4, 5)])
+    ray = halving_ray(S, 0)
+    assert is_halving_ray(S, ray)
+    # an interior anchor
+    assert not is_halving_ray(S, Ray(4, ray.direction))
+    # a line through another point: the diagonal leaves (10, 0) on one
+    # side and (0, 10), (4, 5) on the other, a 2 : 2 split without it
+    assert not is_halving_ray(S, Ray(0, (-1, -1)))
+    # an unbalanced 1 : 3 split, the tail still inside the wedge
+    assert not is_halving_ray(S, Ray(0, (-10, -1)))
+    # a valid halving ray with its head turned into the set
+    assert not is_halving_ray(S, Ray(0, (-ray.direction[0], -ray.direction[1])))
+
+
 def test_halving_ray_pair_requires_non_consecutive():
     S = convex_polygon(6)
     hull = convex_hull(S)
@@ -210,8 +225,9 @@ def test_apply_motion_landing_on_event_is_degenerate():
 def test_simultaneous_events_raise():
     S = PointSet([(0, 0), (2, 1), (2, -1), (4, 1), (4, -1)])
     ray = Ray(anchor=0, direction=(1, 0))
-    with pytest.raises(SimultaneousEventError):
+    with pytest.raises(SimultaneousEventError) as exc:
         motion_events(S, 0, ray, 10)
+    assert exc.value.moving == 0
 
 
 def test_halving_ray_events_always_improve():
@@ -371,6 +387,53 @@ def test_reduce_trace_replays_to_output():
         T, trace = reduce_to_triangle(S)
         R = S
         for st in trace.steps:
+            R = apply_motion(R, st.moved, st.ray, st.stop)
+        assert R == T
+
+
+# Sets whose reduction hits simultaneous events: in A the motion of q
+# in the first round, in B the motion of p in the third.
+NUDGE_CASES = [
+    (
+        [(-6, -5), (-6, 3), (-5, 6), (-2, -6), (0, -1), (1, 0), (1, 1), (2, -3),
+         (3, 3), (4, 0), (5, -5)],
+        [(0, (-13, -9)), (10, (20, -19)), (0, (-13, -9)), (8, (5, 7))],
+        180,
+        (0, 1),
+    ),
+    (
+        [(-6, -3), (-5, -3), (-4, -4), (-3, 0), (-3, 4), (1, -6), (3, 5), (4, -5),
+         (4, 1), (5, 0), (5, 4)],
+        [(0, (-3, -1)), (5, (2, -21)), (0, (-3, -1)), (7, (1, -1)),
+         (0, (-290669811, -101413969)), (10, (19, 15))],
+        196,
+        (2, 0),
+    ),
+]
+
+
+def test_reduce_nudges_the_ray_that_hit_simultaneous_events():
+    for pts, expected_steps, crossings_after, (nudged_round, nudged) in NUDGE_CASES:
+        S = PointSet(pts)
+        T, trace = reduce_to_triangle(S)
+        assert [(st.moved, st.ray.direction) for st in trace.steps] == expected_steps
+        assert hull_size(T) == 3
+        assert trace.before.crossings == cr(S)
+        assert trace.after.crossings == cr(T) == crossings_after
+        for st in trace.steps:
+            for ev in st.events:
+                assert ev.crossing_delta < 0
+        R = S
+        for i, st in enumerate(trace.steps):
+            if i == 2 * nudged_round:
+                # the nudged ray is the second direction of its point;
+                # the other ray of the round keeps its first
+                hull = convex_hull(R)
+                attempts = [0, 0]
+                attempts[nudged] = 1
+                pair = halving_ray_pair(R, hull[0], hull[2], *attempts)
+                assert pair == (st.ray, trace.steps[i + 1].ray)
+                assert halving_ray_pair(R, hull[0], hull[2])[nudged] != pair[nudged]
             R = apply_motion(R, st.moved, st.ray, st.stop)
         assert R == T
 
