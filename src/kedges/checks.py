@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .geometry import Orientation, Point, PointSet, extends_general_position, orientation
+from .geometry import Point, PointSet
 from .census import (
     cumulative,
     edge_vector_bruteforce,
@@ -20,37 +20,31 @@ from .census import (
     good_k_edge_count,
     max_depth,
     oriented_edge_counts,
-    strictly_inside_triangle,
 )
 from .crossings import crossings_bruteforce, crossings_via_identity, exact_lcr_from_E
 from .bounds import bound_refined, bound_simple
 
 
 def containing_triangle(S: PointSet) -> Tuple[Point, Point, Point]:
-    """An integer triangle that strictly contains S.
+    """An integer triangle that strictly contains S, with no corner on a
+    line through two points of S (which would make oriented side counts
+    ambiguous).
 
-    The corners are chosen far enough out that every point is strictly
-    inside, and adjusted so that no corner is collinear with a pair of
-    points of S (which would make oriented side counts ambiguous).
+    Let s be the larger side of the bounding box of S (at least 1).  A
+    line through two points of S is either vertical, inside the box's
+    x-range, or has |slope| <= s, so at horizontal distance L from the
+    box it stays within s(s + L) of the box's y-range.  Each corner lies
+    outside the x-range by L and beyond the y-range by more than
+    s(s + L), so it is on no such line.  The left and bottom sides run
+    outside the box, and the third side passes right of its top-right
+    corner.
     """
     xs = [p.x for p in S]
     ys = [p.y for p in S]
-    cx = (min(xs) + max(xs)) // 2
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1)
-    D = 4 * span
-    for _ in range(64):
-        a = Point(cx - 2 * D, min(ys) - D)
-        b = Point(cx + 2 * D + 1, min(ys) - D - 1)
-        c = Point(cx + 1, max(ys) + 3 * D)
-        tri = (a, b, c)
-        if (
-            orientation(a, b, c) != Orientation.COLLINEAR
-            and all(strictly_inside_triangle(p, tri) for p in S)
-            and all(extends_general_position(S.points, v) for v in tri)
-        ):
-            return tri
-        D = D + max(span, 1) + 1
-    raise RuntimeError("internal: could not place a containing triangle")
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    s = max(x1 - x0, y1 - y0, 1)
+    m = 3 * (s + 1) ** 2
+    return (Point(x0 - 1, y0 - m), Point(x1 + 2 * s + 2, y0 - m), Point(x0 - 1, y1 + m))
 
 
 def verify_point_set(S: PointSet) -> List[str]:

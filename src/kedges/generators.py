@@ -24,6 +24,9 @@ _EXHAUSTIVE_BUDGET = 300_000
 
 _RANDOM_DISC_TRIES = 200_000
 _RANDOM_SEARCH_TRIALS = 4_000
+# general-position checks the grid-search kind spends on its row-by-row
+# backtracking search when no random sample is in general position
+_BACKTRACK_BUDGET = 200_000
 
 
 class GenerationError(RuntimeError):
@@ -128,7 +131,8 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
     When the number of n-subsets fits the exhaustive budget the grid is
     searched completely in lexicographic order and the first minimum is
     returned; otherwise seeded random subsets are sampled and the best
-    one kept.
+    one kept, and if no sample is in general position the first set a
+    row-by-row backtracking search finds is returned.
     """
     r = scale or 2
     if n > 2 * (2 * r + 1):
@@ -162,8 +166,47 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
         if best is None or c < best[0]:
             best = (c, S)
     if best is None:
-        raise GenerationError("no valid %d-point set found on the grid of radius %d" % (n, r))
+        return _row_backtrack(n, r)
     return best[1]
+
+
+def _row_backtrack(n: int, r: int) -> PointSet:
+    """The first n-point set in general position on the grid of radius
+    r, placing rows y = -r, ..., r in turn with two, one or no points
+    each (a row holds at most two), pairs and singles in lexicographic
+    order.  The search grows exponentially with r, so it gives up after
+    _BACKTRACK_BUDGET general-position checks."""
+    xs = range(-r, r + 1)
+    pts: list = []
+    checks = 0
+    failure = "no valid %d-point set found on the grid of radius %d" % (n, r)
+
+    def place(y: int) -> bool:
+        nonlocal checks
+        need = n - len(pts)
+        if need == 0:
+            return True
+        if need > 2 * (r - y + 1):
+            return False
+        for k in range(min(need, 2), -1, -1):
+            for row in itertools.combinations(xs, k):
+                added = 0
+                for x in row:
+                    checks += 1
+                    if checks > _BACKTRACK_BUDGET:
+                        raise GenerationError(failure)
+                    if not extends_general_position(pts, Point(x, y)):
+                        break
+                    pts.append(Point(x, y))
+                    added += 1
+                if added == k and place(y + 1):
+                    return True
+                del pts[len(pts) - added:]
+        return False
+
+    if not place(-r):
+        raise GenerationError(failure)
+    return PointSet(pts)
 
 
 def generate(spec: GeneratorSpec) -> PointSet:

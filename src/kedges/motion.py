@@ -456,14 +456,18 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     """Shrink the convex hull to a triangle without ever increasing the
     crossing count.
 
-    Each round picks a non-consecutive pair of hull points, equips both
-    with halving rays whose tails share the heavier side of their
-    connecting line, and moves first one and then the other point onto
-    a common stop line parallel to that connecting line, placed just
-    beyond the far side of the set.  Every mutation on the way strictly
-    decreases the crossing count and shifts one census unit downward,
-    and the hull points between the pair on the stop-line side become
-    interior, so the hull shrinks every round.  If a stop line turns
+    Each round pairs the first hull point with the opposite one,
+    hull[len(hull) // 2] (never adjacent to it on a hull of four or
+    more points), equips both with halving rays whose tails share the
+    heavier side of their connecting line, and moves first one and then
+    the other point onto a common stop line parallel to that connecting
+    line, placed just beyond the far side of the set.  Every mutation on
+    the way strictly decreases the crossing count and shifts one census
+    unit downward, and the hull points between the pair on the
+    stop-line side become interior, so the hull shrinks every round; the
+    opposite pair puts about half of the hull on that side.  Every
+    landing rescales the whole set, so few rounds also keep the
+    coordinates short.  If a stop line turns
     out to sit too deep (a landing hits an event, or the hull fails to
     shrink), it is retried exponentially closer to the set; if a motion
     hits simultaneous events, that point's ray is nudged.
@@ -472,7 +476,7 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     before = config_summary(S)
     hull = convex_hull(S)
     while len(hull) > 3:
-        p, q = hull[0], hull[2]
+        p, q = hull[0], hull[len(hull) // 2]
         h = _heavy_side(S, p, q)
         low = min(
             _signed_offset(h, S[p], pt.x, pt.y) for j, pt in enumerate(S) if j != p and j != q

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -93,6 +94,22 @@ def test_generate_to_file_matches_stdout(capsys, tmp_path):
     assert code == 0 and out == ""
     code, out, _ = run(capsys, ["generate", "--kind", "convex", "--n", "8"])
     assert path.read_text() == out
+
+
+def test_generate_grid_search_up_to_two_points_per_row(capsys, tmp_path):
+    # with n = 10 every row of the default grid holds two points, and no
+    # random sample is in general position; n = 9 comes from the sampler
+    for n in (9, 10):
+        path = tmp_path / ("grid%d.txt" % n)
+        code, _, _ = run(capsys, ["generate", "--kind", "grid-search", "--n", str(n), "--out", str(path)])
+        assert code == 0
+        pts = [(p.x, p.y) for p in load_point_set(path)]
+        assert len(set(pts)) == n
+        assert all(max(abs(x), abs(y)) <= 2 for x, y in pts)
+        for a, b, c in combinations(pts, 3):
+            assert (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == 0, out
 
 
 def test_unwritable_output_is_an_input_error(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from kedges import (
     GeneralPositionError,
+    GeneratorSpec,
     PointSet,
     Ray,
     SimultaneousEventError,
@@ -16,6 +17,7 @@ from kedges import (
     crossings_bruteforce,
     cumulative,
     edge_vector_bruteforce,
+    generate,
     halving_ray,
     halving_ray_pair,
     halving_ray_stable,
@@ -391,23 +393,35 @@ def test_reduce_trace_replays_to_output():
         assert R == T
 
 
+def test_reduce_convex_position_stays_polynomial():
+    # every landing rescales the whole set, so coordinate bits compound
+    # with the number of rounds; opposite pairs keep that number small
+    for n in range(4, 41):
+        S = generate(GeneratorSpec("convex", n))
+        T, trace = reduce_to_triangle(S)
+        assert hull_size(T) == 3, n
+        assert len(trace.steps) <= 4, n
+        assert max(max(abs(p.x).bit_length(), abs(p.y).bit_length()) for p in T) <= 128, n
+        R = S
+        for st in trace.steps:
+            R = apply_motion(R, st.moved, st.ray, st.stop)
+        assert R == T
+
+
 # Sets whose reduction hits simultaneous events: in A the motion of q
-# in the first round, in B the motion of p in the third.
+# in the first round, in B the motion of p in the second.
 NUDGE_CASES = [
     (
-        [(-6, -5), (-6, 3), (-5, 6), (-2, -6), (0, -1), (1, 0), (1, 1), (2, -3),
-         (3, 3), (4, 0), (5, -5)],
-        [(0, (-13, -9)), (10, (20, -19)), (0, (-13, -9)), (8, (5, 7))],
-        180,
+        [(-6, -4), (-4, -3), (1, -6), (2, -6), (2, -4), (3, 3), (5, -5), (5, 4), (6, 0)],
+        [(0, (-5, -1)), (6, (21, -5)), (0, (-20, -3)), (7, (7, 18))],
+        62,
         (0, 1),
     ),
     (
-        [(-6, -3), (-5, -3), (-4, -4), (-3, 0), (-3, 4), (1, -6), (3, 5), (4, -5),
-         (4, 1), (5, 0), (5, 4)],
-        [(0, (-3, -1)), (5, (2, -21)), (0, (-3, -1)), (7, (1, -1)),
-         (0, (-290669811, -101413969)), (10, (19, 15))],
-        196,
-        (2, 0),
+        [(-6, -2), (-5, 6), (-4, -4), (1, -3), (1, 3), (2, 2), (4, -6), (4, -1), (5, 3)],
+        [(0, (-7, -2)), (6, (4, -7)), (0, (-603, -202)), (8, (1051, 602))],
+        68,
+        (1, 0),
     ),
 ]
 
@@ -431,9 +445,10 @@ def test_reduce_nudges_the_ray_that_hit_simultaneous_events():
                 hull = convex_hull(R)
                 attempts = [0, 0]
                 attempts[nudged] = 1
-                pair = halving_ray_pair(R, hull[0], hull[2], *attempts)
+                p, q = hull[0], hull[len(hull) // 2]
+                pair = halving_ray_pair(R, p, q, *attempts)
                 assert pair == (st.ray, trace.steps[i + 1].ray)
-                assert halving_ray_pair(R, hull[0], hull[2])[nudged] != pair[nudged]
+                assert halving_ray_pair(R, p, q)[nudged] != pair[nudged]
             R = apply_motion(R, st.moved, st.ray, st.stop)
         assert R == T
 

@@ -1,0 +1,50 @@
+"""Property tests over generated point sets (hypothesis, derandomized)."""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kedges import (
+    PointSet,
+    apply_motion,
+    crossings_bruteforce,
+    hull_size,
+    reduce_to_triangle,
+)
+
+
+def _collinear(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+
+
+@st.composite
+def point_sets(draw, bound):
+    """An integer point set in general position, 4 to 14 points with
+    coordinates in [-bound, bound]: of a drawn list of distinct points,
+    each is kept that is on no line through two kept points (naive
+    triple check)."""
+    n = draw(st.integers(4, 14))
+    coord = st.integers(-bound, bound)
+    drawn = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=3 * n, unique=True))
+    pts = []
+    for c in drawn:
+        if not any(_collinear(a, b, c) for i, a in enumerate(pts) for b in pts[i + 1:]):
+            pts.append(c)
+    assume(len(pts) >= n)
+    return PointSet(pts[:n])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(point_sets(20) | point_sets(2 ** 64))
+def test_reduce_to_triangle_postconditions_and_replay(S):
+    T, trace = reduce_to_triangle(S)
+    assert hull_size(T) == 3
+    assert trace.after.hull_size == 3
+    deltas = [ev.crossing_delta for step in trace.steps for ev in step.events]
+    assert all(d < 0 for d in deltas)
+    assert sum(deltas) == trace.after.crossings - trace.before.crossings
+    R = S
+    for step in trace.steps:
+        R = apply_motion(R, step.moved, step.ray, step.stop)
+    assert R == T
+    if len(S) <= 9:
+        assert trace.after.crossings == crossings_bruteforce(T).crossings
