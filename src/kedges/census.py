@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     Orientation,
@@ -125,34 +125,44 @@ def edge_vector_bruteforce(S: PointSet) -> EdgeVector:
     return EdgeVector(n, tuple(counts))
 
 
+def left_counts(S: PointSet, p: int) -> List[Optional[int]]:
+    """The row L with L[j] the number of points strictly left of the
+    directed line p -> j, for every j != p (L[p] is None).
+
+    One rotational sweep: over angular_order(S, p), read twice around,
+    a window slides counterclockwise from each direction and holds the
+    vectors less than a half turn ahead of it, O(n log n) in all.
+    """
+    vs = angular_order(S, p)
+    t = len(vs)
+    xs = [v[0] for v in vs] * 2
+    ys = [v[1] for v in vs] * 2
+    L: List[Optional[int]] = [None] * len(S)
+    k = 0
+    for i in range(t):
+        ux, uy, j = vs[i]
+        if k <= i:
+            k = i + 1
+        # stops at the latest on u's own copy, xs[i + t], ys[i + t]
+        while ux * ys[k] > uy * xs[k]:
+            k += 1
+        L[j] = k - i - 1
+    return L
+
+
 def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     """Histogram H where H[r] counts ordered pairs (p, q) with exactly r
-    points strictly to the right of the directed line p -> q.
-
-    Computed by a rotational sweep around every point: after sorting the
-    other points by angle, the count of points in the open half plane to
-    the left of each direction is maintained by a sliding window.
+    points strictly to the right of the directed line p -> q: the sum
+    over every point p of its left_counts row, O(n^2 log n).
     """
     n = len(S)
     if n < 3:
         raise ValueError("census needs at least 3 points")
     H = [0] * (n - 1)
     for p in range(n):
-        vs = angular_order(S, p)
-        t = len(vs)
-        k = 0
-        for i in range(t):
-            if k < i + 1:
-                k = i + 1
-            while k < i + t:
-                u = vs[i]
-                w = vs[k % t]
-                if u[0] * w[1] - u[1] * w[0] > 0:
-                    k += 1
-                else:
-                    break
-            left = k - i - 1
-            H[n - 2 - left] += 1
+        for left in left_counts(S, p):
+            if left is not None:
+                H[n - 2 - left] += 1
     return tuple(H)
 
 
@@ -169,11 +179,6 @@ def edge_vector_sweep(S: PointSet) -> EdgeVector:
             raise RuntimeError("internal: odd ordered count at the halving level")
         e[m] //= 2
     return EdgeVector(n, tuple(e))
-
-
-def halving_edge_count(S: PointSet) -> int:
-    """Number of edges splitting the rest as evenly as possible."""
-    return edge_vector_sweep(S).halving
 
 
 def _normalize_ccw(tri: Sequence[Point]) -> Tuple[Point, Point, Point]:

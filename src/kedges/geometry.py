@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
+from math import atan2, gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -211,30 +210,66 @@ class PointSet:
         return moved
 
 
+def _hints(upper, lower) -> Tuple[List[float], List[float]]:
+    """Float presort keys: the angle of each upper vector, and of each
+    lower vector turned by a half turn, both in [0, pi]."""
+    return (
+        [atan2(dy, dx) for dx, dy, _ in upper],
+        [atan2(-dy, -dx) for dx, dy, _ in lower],
+    )
+
+
+def _settled(vs, hints: List[float], p: int) -> List[Tuple[int, int, int]]:
+    """The vectors of one open half plane through the origin, sorted
+    counterclockwise: presorted by ``hints``, then one insertion pass
+    moves each vector back while the integer cross product with its
+    left neighbour says it comes first."""
+    vs = [vs[i] for i in sorted(range(len(vs)), key=hints.__getitem__)]
+    for i in range(1, len(vs)):
+        v = vs[i]
+        vx, vy, vj = v
+        k = i
+        while k > 0:
+            ux, uy, uj = vs[k - 1]
+            c = ux * vy - uy * vx
+            if c > 0:
+                break
+            if c == 0:
+                raise GeneralPositionError(tuple(sorted((p, uj, vj))))
+            vs[k] = vs[k - 1]
+            k -= 1
+        vs[k] = v
+    return vs
+
+
 def angular_order(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
     """The vectors (dx, dy, j) from point p to every other point j,
     sorted counterclockwise from angle 0.
 
-    A tie means two points are collinear with p, which general position
-    forbids; the comparator reports it as a GeneralPositionError.
+    Every order decision is an integer sign.  The vectors are split by
+    half plane (angles [0, pi), then [pi, 2*pi)); within each half a
+    float atan2 key presorts them, as a hint only, and one insertion
+    pass settles every adjacent pair by the sign of the cross product,
+    in O(n) when the hint is right.  Vectors too long for a float are
+    shifted right by one common amount, to at most 1000 bits, to make
+    the hint.  A tie means two points are collinear with p, which
+    general position forbids; it raises GeneralPositionError.
     """
     o = S[p]
-    vecs = [(q.x - o.x, q.y - o.y, j) for j, q in enumerate(S) if j != p]
-
-    def half(v):
-        dx, dy, _ = v
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = u[0] * v[1] - u[1] * v[0]
-        if c == 0:
-            raise GeneralPositionError(tuple(sorted((p, u[2], v[2]))))
-        return -1 if c > 0 else 1
-
-    return sorted(vecs, key=cmp_to_key(cmp))
+    upper, lower = [], []
+    for j, q in enumerate(S):
+        if j != p:
+            dx, dy = q.x - o.x, q.y - o.y
+            (upper if dy > 0 or (dy == 0 and dx > 0) else lower).append((dx, dy, j))
+    try:
+        hu, hl = _hints(upper, lower)
+    except OverflowError:
+        s = max(max(abs(v[0]), abs(v[1])).bit_length() for v in upper + lower) - 1000
+        hu, hl = _hints(
+            [(dx >> s, dy >> s, j) for dx, dy, j in upper],
+            [(dx >> s, dy >> s, j) for dx, dy, j in lower],
+        )
+    return _settled(upper, hu, p) + _settled(lower, hl, p)
 
 
 def convex_hull(S: PointSet) -> Tuple[int, ...]:
@@ -271,61 +306,3 @@ def convex_hull(S: PointSet) -> Tuple[int, ...]:
 
 def hull_size(S: PointSet) -> int:
     return len(convex_hull(S))
-
-
-def is_extreme(S: PointSet, i: int) -> bool:
-    return i in convex_hull(S)
-
-
-class OrderType:
-    """The orientation of every ordered triple of a point set.
-
-    Internally one orientation is stored per sorted index triple; the
-    orientation of an arbitrary ordered triple follows by permutation
-    parity, so antisymmetry holds by construction.
-    """
-
-    __slots__ = ("n", "_o")
-
-    def __init__(self, n: int, orientations):
-        self.n = n
-        self._o = dict(orientations)
-
-    @classmethod
-    def of(cls, S: PointSet) -> "OrderType":
-        n = len(S)
-        o = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    o[(i, j, k)] = orientation(S[i], S[j], S[k])
-        return cls(n, o)
-
-    def __getitem__(self, triple: Tuple[int, int, int]) -> Orientation:
-        i, j, k = triple
-        if len({i, j, k}) != 3:
-            raise ValueError("triple must have three distinct indices")
-        key = tuple(sorted((i, j, k)))
-        base = self._o[key]
-        # parity of the permutation taking sorted order to (i, j, k)
-        perm = (i, j, k)
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-        )
-        return base if inversions % 2 == 0 else Orientation(-base)
-
-    def triples(self):
-        return self._o.items()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OrderType) and self.n == other.n and self._o == other._o
-
-    def diff(self, other: "OrderType"):
-        """Sorted triples on which the two order types disagree."""
-        if self.n != other.n:
-            raise ValueError("order types of different sizes")
-        return {t for t, v in self._o.items() if other._o[t] != v}
-
-
-def order_type(S: PointSet) -> OrderType:
-    return OrderType.of(S)

@@ -24,7 +24,7 @@ from itertools import count, islice
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .census import EdgeVector, edge_vector_sweep
+from .census import EdgeVector, edge_vector_sweep, left_counts
 from .crossings import crossings_from_census
 from .geometry import (
     GeneralPositionError,
@@ -206,26 +206,12 @@ def is_halving_ray(S: PointSet, ray: Ray) -> bool:
     )
 
 
-def _h_side_counts(S: PointSet, p: int, q: int) -> Tuple[int, int]:
-    a, b = S[p], S[q]
-    pos = neg = 0
-    for j in range(len(S)):
-        if j == p or j == q:
-            continue
-        c = cross(a.x, a.y, b.x, b.y, S[j].x, S[j].y)
-        if c > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg
-
-
 def _heavy_side(S: PointSet, p: int, q: int) -> Tuple[int, int]:
     """The direction of line pq, oriented so that its left side holds
     at least as many of the other points as its right side."""
-    pos, neg = _h_side_counts(S, p, q)
+    left = left_counts(S, p)[q]
     hx, hy = S[q].x - S[p].x, S[q].y - S[p].y
-    return (hx, hy) if pos >= neg else (-hx, -hy)
+    return (hx, hy) if 2 * left >= len(S) - 2 else (-hx, -hy)
 
 
 def _line_intersection_inside_hull(
@@ -303,16 +289,20 @@ def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[Fraction, Tuple[int, 
     return out
 
 
-def _classify(S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int]) -> MutationEvent:
+def _classify(
+    S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int], rows: Dict[int, list]
+) -> MutationEvent:
     """The event at parameter t where the moving point crosses the line
     through ``pair``, decided by integer signs alone.
 
     The center is the middle point of the collinear triple at t.  Before
     t no other point changes side of the line through the two non-center
     points (that would be an earlier event), and at t that line is the
-    line through ``pair``.  So k counts the points on the moving point's
-    side of that line when it is the center, and on the other side
-    otherwise.
+    line through ``pair``.  So k counts the points of S on the moving
+    point's side of that line when it is the center, and on the other
+    side otherwise: both are read from the left_counts row of the pair's
+    first point, which ``rows`` caches per anchor for S, the set before
+    the motion.
     """
     p = ray.anchor
     dx, dy = ray.direction
@@ -329,13 +319,16 @@ def _classify(S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int]) -> Muta
         center = i
     else:
         center = j
-    pos, neg = _h_side_counts(S, i, j)
+    if i not in rows:
+        rows[i] = left_counts(S, i)
+    n = len(S)
+    pos = rows[i][j]
+    neg = n - 2 - pos
     p_pos = cross(a.x, a.y, b.x, b.y, p0.x, p0.y) > 0
     if center == p:
         k = (pos if p_pos else neg) - 1
     else:
         k = neg if p_pos else pos
-    n = len(S)
     return MutationEvent(
         moving=p, pair=pair, t=t, center=center, k=k, crossing_delta=2 * k - n + 3
     )
@@ -349,7 +342,8 @@ def _events(S: PointSet, ray: Ray, stop: Optional[Fraction]) -> List[MutationEve
     for a, b in zip(raw, raw[1:]):
         if a[0] == b[0]:
             raise SimultaneousEventError(a[0], [a[1], b[1]], ray.anchor)
-    return [_classify(S, ray, t, pair) for t, pair in raw]
+    rows: Dict[int, list] = {}
+    return [_classify(S, ray, t, pair, rows) for t, pair in raw]
 
 
 def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:

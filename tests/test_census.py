@@ -7,6 +7,7 @@ import pytest
 
 from kedges import (
     CumulativeEdgeVector,
+    Orientation,
     Point,
     EdgeVector,
     PointSet,
@@ -16,12 +17,13 @@ from kedges import (
     edge_vector_bruteforce,
     edge_vector_sweep,
     good_k_edge_count,
-    halving_edge_count,
     max_depth,
+    orientation,
     oriented_edge_counts,
     packaged_point_set,
     strictly_inside_triangle,
 )
+from kedges.census import left_counts
 from helpers import convex_polygon, random_point_set
 
 
@@ -71,6 +73,23 @@ def test_sweep_equals_bruteforce_random():
         assert edge_vector_sweep(S) == edge_vector_bruteforce(S)
 
 
+def test_left_counts_match_direct_count():
+    rng = random.Random(707)
+    for radius in (50, 2 ** 200):
+        for _ in range(30):
+            S = random_point_set(rng, rng.randint(3, 12), radius=radius)
+            n = len(S)
+            for p in range(n):
+                row = left_counts(S, p)
+                assert len(row) == n and row[p] is None
+                for j in range(n):
+                    if j != p:
+                        assert row[j] == sum(
+                            1 for i in range(n)
+                            if orientation(S[p], S[j], S[i]) == Orientation.CCW
+                        )
+
+
 def test_oriented_counts_consistent_with_depths():
     rng = random.Random(505)
     for _ in range(40):
@@ -106,12 +125,12 @@ def test_packaged_nine_halving_set():
     S = packaged_point_set("halving_max_n8.txt")
     e = edge_vector_sweep(S)
     assert e.e == (4, 6, 9, 9)
-    assert halving_edge_count(S) == 9
+    assert edge_vector_sweep(S).halving == 9
 
 
 def test_halving_count_convex():
-    assert halving_edge_count(convex_polygon(7)) == 7
-    assert halving_edge_count(convex_polygon(8)) == 4
+    assert edge_vector_sweep(convex_polygon(7)).halving == 7
+    assert edge_vector_sweep(convex_polygon(8)).halving == 4
 
 
 def test_good_k_edge_count_window_and_bound():

@@ -15,13 +15,17 @@ from kedges import (
     convex_hull,
     cross,
     hull_size,
-    is_extreme,
-    order_type,
     orientation,
     validate_general_position,
 )
 from kedges.motion import _wedge_sorted
-from helpers import brute_is_interior, convex_polygon, random_point_set
+from helpers import (
+    brute_is_interior,
+    comparator_angular_order,
+    convex_polygon,
+    order_type,
+    random_point_set,
+)
 
 
 def test_orientation_signs():
@@ -112,7 +116,7 @@ def test_extreme_matches_brute_force():
         S = random_point_set(rng, rng.randint(4, 9))
         hull = set(convex_hull(S))
         for i in range(len(S)):
-            assert is_extreme(S, i) == (i in hull)
+            assert (i in convex_hull(S)) == (i in hull)
             assert brute_is_interior(S, i) == (i not in hull)
 
 
@@ -177,3 +181,57 @@ def test_wedge_order_spans_from_boundary_to_boundary():
             # first and strictly clockwise of the last
             assert all(cross(0, 0, first[0], first[1], v[0], v[1]) > 0 for v in vs[1:])
             assert all(cross(0, 0, v[0], v[1], last[0], last[1]) > 0 for v in vs[:-1])
+
+
+def _hint_order(S, p):
+    """The other points around p ordered by half plane and a float atan2
+    key alone, ties kept in index order."""
+    o = S[p]
+
+    def key(j):
+        dx, dy = S[j].x - o.x, S[j].y - o.y
+        if dy > 0 or (dy == 0 and dx > 0):
+            return (0, math.atan2(dy, dx))
+        return (1, math.atan2(-dy, -dx))
+
+    return sorted((j for j in range(len(S)) if j != p), key=key)
+
+
+def _fan(rng, B, m):
+    """Origin plus two shuffled fans of m points near the directions
+    (1, 1) and (-1, -1) at distance about B: from the origin their
+    vectors differ in angle by about 1/B."""
+    pts = [(B + i * i, B + i * i + i) for i in range(1, m + 1)]
+    pts += [(-B - i * i, -B - i * i - i) for i in range(m + 1, 2 * m + 1)]
+    rng.shuffle(pts)
+    return PointSet([(0, 0)] + pts)
+
+
+def test_angular_order_matches_comparator_oracle():
+    rng = random.Random(204)
+    for radius in (60, 2 ** 200, 2 ** 1100):
+        for _ in range(25):
+            S = random_point_set(rng, rng.randint(3, 14), radius=radius)
+            for p in range(len(S)):
+                assert angular_order(S, p) == comparator_angular_order(S, p)
+    repaired = 0
+    for e in (60, 100, 200, 300, 1100):
+        for m in (3, 8, 15):
+            S = _fan(rng, 2 ** e, m)
+            for p in range(len(S)):
+                want = comparator_angular_order(S, p)
+                assert angular_order(S, p) == want
+                if e <= 300 and _hint_order(S, p) != [v[2] for v in want]:
+                    repaired += 1
+    # the float keys of the fans tie or invert, so the exact pass must
+    # reorder some of them
+    assert repaired > 0
+
+
+def test_angular_order_raises_on_a_tie():
+    pts = [Point(0, 0), Point(1, 5), Point(2, 1), Point(4, 2), Point(-3, 1)]
+    S = object.__new__(PointSet)
+    object.__setattr__(S, "points", tuple(pts))
+    with pytest.raises(GeneralPositionError) as info:
+        angular_order(S, 0)
+    assert info.value.triple == (0, 2, 3)

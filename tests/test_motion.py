@@ -22,14 +22,12 @@ from kedges import (
     halving_ray_pair,
     halving_ray_stable,
     hull_size,
-    is_extreme,
     is_halving_ray,
     motion_events,
-    order_type,
     orientation,
     reduce_to_triangle,
 )
-from helpers import convex_polygon, random_point_set
+from helpers import convex_polygon, order_type, random_point_set
 
 
 def cr(S):

@@ -7,6 +7,11 @@ from kedges import (
     PointSet,
     apply_motion,
     crossings_bruteforce,
+    crossings_via_identity,
+    cumulative,
+    edge_vector_bruteforce,
+    edge_vector_sweep,
+    exact_lcr_from_E,
     hull_size,
     reduce_to_triangle,
 )
@@ -17,20 +22,32 @@ def _collinear(a, b, c):
 
 
 @st.composite
-def point_sets(draw, bound):
+def point_sets(draw, bound, clusters=False):
     """An integer point set in general position, 4 to 14 points with
     coordinates in [-bound, bound]: of a drawn list of distinct points,
     each is kept that is on no line through two kept points (naive
-    triple check)."""
+    triple check).  With ``clusters``, every point lies within 1000 of
+    one of two or three centers, so that from one cluster the points of
+    another one sit at nearly the same angle."""
     n = draw(st.integers(4, 14))
     coord = st.integers(-bound, bound)
-    drawn = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=3 * n, unique=True))
+    point = st.tuples(coord, coord)
+    if clusters:
+        centers = draw(st.lists(point, min_size=2, max_size=3))
+        offset = st.integers(-1000, 1000)
+        point = st.builds(
+            lambda c, dx, dy: (c[0] + dx, c[1] + dy), st.sampled_from(centers), offset, offset
+        )
+    drawn = draw(st.lists(point, min_size=n, max_size=3 * n, unique=True))
     pts = []
     for c in drawn:
         if not any(_collinear(a, b, c) for i, a in enumerate(pts) for b in pts[i + 1:]):
             pts.append(c)
     assume(len(pts) >= n)
     return PointSet(pts[:n])
+
+
+big_point_sets = point_sets(2 ** 200) | point_sets(2 ** 200, clusters=True)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -48,3 +65,17 @@ def test_reduce_to_triangle_postconditions_and_replay(S):
     assert R == T
     if len(S) <= 9:
         assert trace.after.crossings == crossings_bruteforce(T).crossings
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(big_point_sets)
+def test_sweep_census_equals_brute_force(S):
+    assert edge_vector_sweep(S) == edge_vector_bruteforce(S)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(big_point_sets)
+def test_identity_crossings_equal_brute_force_and_cumulative_form(S):
+    crossings = crossings_via_identity(S).crossings
+    assert crossings == crossings_bruteforce(S).crossings
+    assert crossings == exact_lcr_from_E(cumulative(edge_vector_bruteforce(S)))
