@@ -33,18 +33,6 @@ def bound_simple(n: int, k: int) -> int:
     return 3 * comb(k + 2, 2)
 
 
-def _excess_sum(n: int, k: int) -> int:
-    """sum_{j=floor(n/3)}^{k} (3j - n + 3), empty below floor(n/3)."""
-    return sum(3 * j - n + 3 for j in range(n // 3, k + 1))
-
-
-def bound_refined_sum(n: int, k: int) -> int:
-    """Reference implementation of the refined bound by direct summation."""
-    if not (0 <= k < max_depth(n)):
-        raise ValueError("k=%d out of range for n=%d" % (k, n))
-    return 3 * comb(k + 2, 2) + _excess_sum(n, k)
-
-
 def bound_refined(n: int, k: int) -> int:
     """The refined cumulative bound, via the integer closed forms.
 

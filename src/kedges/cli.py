@@ -36,11 +36,7 @@ from .bounds import (
 from .census import edge_vector_sweep
 from .checks import verify_point_set
 from .crossings import CensusError, crossings_bruteforce, crossings_via_identity
-from .fileio import (
-    PointSetFormatError,
-    format_point_set,
-    load_point_set,
-)
+from .fileio import format_point_set, load_point_set
 from .generators import KINDS, GenerationError, GeneratorSpec, generate
 from .motion import ReductionTrace, reduce_to_triangle
 
@@ -219,64 +215,31 @@ def _trace_obj(trace: ReductionTrace) -> dict:
 def _cmd_reduce(args) -> int:
     S = load_point_set(args.file)
     T, trace = reduce_to_triangle(S)
-    nevents = sum(len(st.events) for st in trace.steps)
     if args.trace:
         _write_output(args.trace, json.dumps(_trace_obj(trace), sort_keys=True, indent=2) + "\n")
     if args.out:
         _write_output(args.out, format_point_set(T, comment="reduced from %s" % args.file))
+    row = {
+        "n": len(S),
+        "hull_before": trace.before.hull_size,
+        "hull_after": trace.after.hull_size,
+        "crossings_before": trace.before.crossings,
+        "crossings_after": trace.after.crossings,
+        "halving_before": trace.before.edge_vector.halving,
+        "halving_after": trace.after.edge_vector.halving,
+        "steps": len(trace.steps),
+        "events": sum(len(st.events) for st in trace.steps),
+    }
     if args.json:
-        _emit_json(
-            {
-                "n": len(S),
-                "hull_before": trace.before.hull_size,
-                "hull_after": trace.after.hull_size,
-                "crossings_before": trace.before.crossings,
-                "crossings_after": trace.after.crossings,
-                "halving_before": trace.before.edge_vector.halving,
-                "halving_after": trace.after.edge_vector.halving,
-                "steps": len(trace.steps),
-                "events": nevents,
-            }
-        )
+        _emit_json(row)
     elif args.csv:
-        _emit_csv(
-            (
-                "n",
-                "hull_before",
-                "hull_after",
-                "crossings_before",
-                "crossings_after",
-                "halving_before",
-                "halving_after",
-                "steps",
-                "events",
-            ),
-            [
-                (
-                    len(S),
-                    trace.before.hull_size,
-                    trace.after.hull_size,
-                    trace.before.crossings,
-                    trace.after.crossings,
-                    trace.before.edge_vector.halving,
-                    trace.after.edge_vector.halving,
-                    len(trace.steps),
-                    nevents,
-                )
-            ],
-        )
+        _emit_csv(tuple(row), [tuple(row.values())])
     else:
-        print("n: %d" % len(S))
-        print("hull: %d -> %d" % (trace.before.hull_size, trace.after.hull_size))
-        print(
-            "crossings: %d -> %d"
-            % (trace.before.crossings, trace.after.crossings)
-        )
-        print(
-            "halving edges: %d -> %d"
-            % (trace.before.edge_vector.halving, trace.after.edge_vector.halving)
-        )
-        print("steps: %d, events: %d" % (len(trace.steps), nevents))
+        print("n: %(n)d" % row)
+        print("hull: %(hull_before)d -> %(hull_after)d" % row)
+        print("crossings: %(crossings_before)d -> %(crossings_after)d" % row)
+        print("halving edges: %(halving_before)d -> %(halving_after)d" % row)
+        print("steps: %(steps)d, events: %(events)d" % row)
     return EXIT_OK
 
 
@@ -390,16 +353,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PointSetFormatError, _OutputError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except GenerationError as exc:
+    except (GenerationError, CensusError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VERIFY
-    except CensusError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
+    except (ValueError, _OutputError) as exc:
+        # bad input: a PointSetFormatError is a ValueError, as are bad arguments
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -2,15 +2,21 @@
 
 The format is line oriented: the first content line holds n, the next
 n content lines hold two whitespace-separated integer coordinates
-each.  Blank lines and lines starting with ``#`` are ignored.
+each.  Integers are ASCII decimal, ``[+-]?[0-9]+``.  Blank lines and
+lines starting with ``#`` are ignored.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from importlib import resources
 from pathlib import Path
 
 from .geometry import GeneralPositionError, PointSet
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class PointSetFormatError(ValueError):
@@ -24,17 +30,31 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _excerpt(line: str) -> str:
+    """repr of line, cut to its first 40 characters."""
+    return repr(line) if len(line) <= 40 else repr(line[:40]) + "..."
+
+
+def _integers(fields, lineno: int, line: str, malformed: str):
+    """The fields as ints, each ASCII ``[+-]?[0-9]+`` (int() alone also
+    takes ``1_0`` and non-ASCII digits)."""
+    if not all(_INTEGER.fullmatch(f) for f in fields):
+        raise PointSetFormatError("line %d: %s, got %s" % (lineno, malformed, _excerpt(line)))
+    try:
+        return [int(f) for f in fields]
+    except ValueError:  # well-formed digits fail only CPython's int-string limit
+        raise PointSetFormatError(
+            "line %d: an integer exceeds Python's %d-digit int-string limit, got %s"
+            % (lineno, sys.get_int_max_str_digits(), _excerpt(line))
+        ) from None
+
+
 def parse_point_set(text: str) -> PointSet:
     lines = list(_content_lines(text))
     if not lines:
         raise PointSetFormatError("no content lines in point-set input")
     lineno, head = lines[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise PointSetFormatError(
-            "line %d: expected the point count, got %r" % (lineno, head)
-        ) from None
+    (n,) = _integers([head], lineno, head, "expected the point count")
     if n < 3:
         raise PointSetFormatError("a point set needs at least 3 points, file declares %d" % n)
     if len(lines) - 1 != n:
@@ -46,14 +66,9 @@ def parse_point_set(text: str) -> PointSet:
         fields = line.split()
         if len(fields) != 2:
             raise PointSetFormatError(
-                "line %d: expected two coordinates, got %r" % (lineno, line)
+                "line %d: expected two coordinates, got %s" % (lineno, _excerpt(line))
             )
-        try:
-            pts.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise PointSetFormatError(
-                "line %d: coordinates must be integers, got %r" % (lineno, line)
-            ) from None
+        pts.append(tuple(_integers(fields, lineno, line, "coordinates must be integers")))
     try:
         return PointSet(pts)
     except GeneralPositionError as exc:

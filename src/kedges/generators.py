@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .crossings import crossings_bruteforce
+from .bounds import crossing_lower_bound_exact
+from .crossings import is_convex_quadrilateral
 from .geometry import Point, PointSet, extends_general_position
 
 KINDS = ("random-disc", "convex", "three-cluster", "grid-search")
@@ -128,11 +129,18 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
     """A crossing-minimal (or heuristically low-crossing) set on the
     integer grid [-scale, scale]^2.
 
-    When the number of n-subsets fits the exhaustive budget the grid is
-    searched completely in lexicographic order and the first minimum is
-    returned; otherwise seeded random subsets are sampled and the best
-    one kept, and if no sample is in general position the first set a
-    row-by-row backtracking search finds is returned.
+    When the n-subsets fit the exhaustive budget the grid is walked
+    depth first, cells in increasing order, so sets arise in
+    ``itertools.combinations`` order.  A prefix grows only by a cell
+    that keeps it in general position, and its count by the new point's
+    convex quadruples.  Adding a point never removes one, so a prefix
+    with as many crossings as the best set is cut: no completion could
+    replace the first set of least crossings.  Otherwise seeded samples
+    in general position are counted the same way, and if none is in
+    general position a row-by-row backtracking search supplies the set.
+    Both stop at a set meeting ``crossing_lower_bound_exact(n)``, which
+    no n-point set beats.  So the result is the set a full count of
+    every subset (or sample) would pick.
     """
     r = scale or 2
     if n > 2 * (2 * r + 1):
@@ -140,34 +148,62 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
             "n=%d exceeds %d: the %d rows of the grid of radius %d hold at most two points each"
             " in general position" % (n, 2 * (2 * r + 1), 2 * r + 1, r)
         )
-    cells = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+    cells = [Point(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+    floor = crossing_lower_bound_exact(n) if n >= 4 else 0
+    # no n-point set has more than C(n, 4) crossings
+    best, found = comb(n, 4) + 1, None
     if comb(len(cells), n) <= _EXHAUSTIVE_BUDGET:
-        best = None
-        for combo in itertools.combinations(cells, n):
-            try:
-                S = PointSet(combo)
-            except ValueError:
-                continue
-            c = crossings_bruteforce(S).crossings
-            if best is None or c < best[0]:
-                best = (c, S)
-        if best is None:
+
+        def walk(start: int, pts: list, count: int) -> None:
+            """Complete pts from cells[start:] until a set meets floor."""
+            nonlocal best, found
+            for i in range(start, len(cells) - n + len(pts) + 1):
+                p = cells[i]
+                if not extends_general_position(pts, p):
+                    continue
+                c = count + _new_crossings(pts, p, best - count)
+                if c >= best:
+                    continue
+                if len(pts) + 1 < n:
+                    walk(i + 1, pts + [p], c)
+                else:
+                    best, found = c, pts + [p]
+                if best == floor:
+                    return
+
+        walk(0, [], 0)
+        if found is None:
             raise GenerationError("no valid %d-point set on the grid of radius %d" % (n, r))
-        return best[1]
+        return PointSet(found)
     rng = random.Random(seed)
-    best = None
     for _ in range(_RANDOM_SEARCH_TRIALS):
-        combo = rng.sample(cells, n)
-        try:
-            S = PointSet(combo)
-        except ValueError:
+        pts = rng.sample(cells, n)
+        if not all(extends_general_position(pts[:i], pts[i]) for i in range(2, n)):
             continue
-        c = crossings_bruteforce(S).crossings
-        if best is None or c < best[0]:
-            best = (c, S)
-    if best is None:
+        c = 0
+        for i in range(3, n):
+            c += _new_crossings(pts[:i], pts[i], best - c)
+            if c >= best:
+                break
+        else:
+            best, found = c, pts
+            if c == floor:
+                break
+    if found is None:
         return _row_backtrack(n, r)
-    return best[1]
+    return PointSet(found)
+
+
+def _new_crossings(pts: list, p: Point, cap: int) -> int:
+    """The convex quadruples p forms with triples of pts, counted up to
+    cap: a caller drops a set once its count reaches the best one."""
+    k = 0
+    for a, b, c in itertools.combinations(pts, 3):
+        if is_convex_quadrilateral(a, b, c, p):
+            k += 1
+            if k >= cap:
+                break
+    return k
 
 
 def _row_backtrack(n: int, r: int) -> PointSet:

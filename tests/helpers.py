@@ -1,16 +1,30 @@
 """Shared test utilities: seeded random configurations and slow oracles."""
 
+import random
 from functools import cmp_to_key
 from itertools import combinations
+from math import comb
 from typing import Tuple
 
 from kedges import (
     GeneralPositionError,
+    GenerationError,
     Orientation,
     PointSet,
+    crossings_bruteforce,
+    max_depth,
     orientation,
     strictly_inside_triangle,
 )
+from kedges.generators import _EXHAUSTIVE_BUDGET, _RANDOM_SEARCH_TRIALS, _row_backtrack
+
+
+def bound_refined_sum(n, k):
+    """Oracle for bound_refined: the simple bound plus the excess sum
+    sum_{j=floor(n/3)}^{k} (3j - n + 3), summed directly."""
+    if not (0 <= k < max_depth(n)):
+        raise ValueError("k=%d out of range for n=%d" % (k, n))
+    return 3 * comb(k + 2, 2) + sum(3 * j - n + 3 for j in range(n // 3, k + 1))
 
 
 def random_point_set(rng, n, radius=50):
@@ -121,3 +135,39 @@ class OrderType:
 
 def order_type(S: PointSet) -> OrderType:
     return OrderType.of(S)
+
+
+def grid_search_oracle(n, seed, r):
+    """Oracle for the grid-search generator on the grid of radius r: the
+    first subset of least crossings in ``itertools.combinations`` order
+    when the subsets fit the exhaustive budget, else the first of least
+    crossings among the seeded samples.  Every subset is validated as a
+    PointSet and counted by crossings_bruteforce, with no pruning."""
+    cells = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+    if comb(len(cells), n) <= _EXHAUSTIVE_BUDGET:
+        best = None
+        for combo in combinations(cells, n):
+            try:
+                S = PointSet(combo)
+            except ValueError:
+                continue
+            c = crossings_bruteforce(S).crossings
+            if best is None or c < best[0]:
+                best = (c, S)
+        if best is None:
+            raise GenerationError("no valid %d-point set on the grid of radius %d" % (n, r))
+        return best[1]
+    rng = random.Random(seed)
+    best = None
+    for _ in range(_RANDOM_SEARCH_TRIALS):
+        combo = rng.sample(cells, n)
+        try:
+            S = PointSet(combo)
+        except ValueError:
+            continue
+        c = crossings_bruteforce(S).crossings
+        if best is None or c < best[0]:
+            best = (c, S)
+    if best is None:
+        return _row_backtrack(n, r)
+    return best[1]

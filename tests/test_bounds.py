@@ -10,7 +10,6 @@ from kedges import (
     adaptive_simpson,
     asymptotic_coefficient,
     bound_refined,
-    bound_refined_sum,
     bound_simple,
     bound_sqrt,
     bound_table,
@@ -21,6 +20,8 @@ from kedges import (
     sqrt_bound_crossover,
     sqrt_bound_dominates,
 )
+
+from helpers import bound_refined_sum
 
 # best known exact crossing numbers of complete graphs on 4..12 vertices
 KNOWN_SMALL_LCR = [0, 1, 3, 9, 19, 36, 62, 102, 153]

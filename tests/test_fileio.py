@@ -1,5 +1,7 @@
 """Point-set file parsing, formatting and the packaged data sets."""
 
+import sys
+
 import pytest
 
 from kedges import (
@@ -46,6 +48,10 @@ def test_save_load_round_trip(tmp_path):
         "3\n0 0\n1 1\n2 2\n",  # collinear
         "3\n0 0\n0 0\n2 3\n",  # duplicate
         "3\n0 0\n1.5 2\n4 1\n",  # not integers
+        "3\n0 0\n1_0 2\n4 1\n",  # digit separator
+        "3\n0 0\n\u0661\u0662 2\n4 1\n",  # Arabic-Indic digits
+        "\u0663\n0 0\n1 2\n4 1\n",  # non-ASCII count
+        "3\n0 0\n0x1 2\n4 1\n",
     ],
 )
 def test_malformed_inputs_raise(text):
@@ -57,6 +63,16 @@ def test_error_messages_carry_line_numbers():
     with pytest.raises(PointSetFormatError) as info:
         parse_point_set("# c\n3\n0 0\n1 1\nbad line\n")
     assert "line 5" in str(info.value)
+
+
+def test_overlong_coordinate_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = "3\n0 0\n1 " + "7" * (limit + 100) + "\n2 5\n"
+    with pytest.raises(PointSetFormatError) as info:
+        parse_point_set(text)
+    msg = str(info.value)
+    assert "line 3" in msg and "%d-digit" % limit in msg
+    assert len(msg) < 200
 
 
 def test_collinear_triple_reports_file_lines():

@@ -9,6 +9,7 @@ from kedges import (
     GenerationError,
     GeneratorSpec,
     KINDS,
+    crossing_lower_bound_exact,
     crossings_bruteforce,
     cumulative,
     edge_vector_sweep,
@@ -16,6 +17,8 @@ from kedges import (
     hull_size,
     max_depth,
 )
+
+from helpers import grid_search_oracle
 
 
 def test_spec_validation():
@@ -82,6 +85,23 @@ def test_grid_search_finds_six_point_minimum():
     # the 5x5 grid admits the global minimum of 3 crossings on 6 points
     S = generate(GeneratorSpec("grid-search", 6, scale=2))
     assert crossings_bruteforce(S).crossings == 3
+
+
+@pytest.mark.parametrize(
+    "n, seed, r",
+    [(n, 0, 1) for n in range(3, 7)]
+    + [(n, 0, 2) for n in range(3, 6)]
+    + [(7, 11, 2), (9, 12, 2), (6, 22, 3), (8, 14, 3)],
+)
+def test_grid_search_matches_unpruned_oracle(n, seed, r):
+    # the first three groups walk the grid exhaustively, the last samples
+    assert generate(GeneratorSpec("grid-search", n, seed=seed, scale=r)) == grid_search_oracle(n, seed, r)
+
+
+def test_grid_search_meets_the_crossing_bound():
+    for n in (4, 5, 6):
+        S = generate(GeneratorSpec("grid-search", n, scale=2))
+        assert crossings_bruteforce(S).crossings == crossing_lower_bound_exact(n)
 
 
 def test_generation_failure_is_reported():

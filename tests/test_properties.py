@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kedges import (
     PointSet,
+    PointSetFormatError,
     apply_motion,
     crossings_bruteforce,
     crossings_via_identity,
@@ -13,6 +14,7 @@ from kedges import (
     edge_vector_sweep,
     exact_lcr_from_E,
     hull_size,
+    parse_point_set,
     reduce_to_triangle,
 )
 
@@ -79,3 +81,35 @@ def test_identity_crossings_equal_brute_force_and_cumulative_form(S):
     crossings = crossings_via_identity(S).crossings
     assert crossings == crossings_bruteforce(S).crossings
     assert crossings == exact_lcr_from_E(cumulative(edge_vector_bruteforce(S)))
+
+
+# tokens close to the point-set grammar: integers, near-integers that
+# int() alone would accept, an integer over CPython's int-string limit,
+# comment marks and arbitrary short text
+_integer = st.integers(-50, 50).map(str)
+_token = st.one_of(
+    _integer,
+    st.sampled_from(["1_0", "\u0661\u0662", "+3", "-0", "0x10", "1e3", "#", "9" * 4400]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def point_set_texts(draw):
+    """Text shaped like a point-set file: a count line, often the right
+    count, then three to six rows of two small integers or of zero to
+    three tokens."""
+    row = st.tuples(_integer, _integer) | st.lists(_token, max_size=3)
+    rows = draw(st.lists(row.map(" ".join), min_size=3, max_size=6))
+    head = draw(st.just(str(len(rows))) | _token)
+    return "\n".join([head] + rows)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.text() | point_set_texts())
+def test_parse_point_set_raises_only_format_errors(text):
+    try:
+        S = parse_point_set(text)
+    except PointSetFormatError:
+        return
+    assert isinstance(S, PointSet)
