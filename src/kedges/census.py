@@ -18,6 +18,7 @@ from .geometry import (
     Point,
     PointSet,
     angular_order,
+    cross,
     orientation,
 )
 
@@ -208,6 +209,11 @@ def good_k_edge_count(S: PointSet, triangle: Sequence[Point], k: int) -> int:
 
     The whole set must lie strictly inside the triangle, and k must lie
     in the window floor(n/3) <= k <= n/2 - 1 where the count is studied.
+
+    Each point's left_counts row gives the sides: S is in general
+    position, so L[q] points lie left of p -> q and n - 2 - L[q] right.
+    Corners are tested only at depth k, so a call costs O(n^2 log n),
+    not the O(n^3) of recounting every pair.
     """
     n = len(S)
     tri = _normalize_ccw(triangle)
@@ -217,22 +223,10 @@ def good_k_edge_count(S: PointSet, triangle: Sequence[Point], k: int) -> int:
     if not (n // 3 <= k and 2 * k <= n - 2):
         raise ValueError("k=%d outside the window [floor(n/3), n/2-1] for n=%d" % (k, n))
     count = 0
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            a, b = S[p], S[q]
-            right = 0
-            for i in range(n):
-                if i == p or i == q:
-                    continue
-                if orientation(a, b, S[i]) == Orientation.CW:
-                    right += 1
-            if right != k:
-                continue
-            corners_right = sum(
-                1 for v in tri if orientation(a, b, v) == Orientation.CW
-            )
-            if corners_right == 1:
-                count += 1
+    for p, a in enumerate(S):
+        for q, left in enumerate(left_counts(S, p)):
+            if left is not None and n - 2 - left == k:
+                b = S[q]
+                if sum(cross(a.x, a.y, b.x, b.y, v.x, v.y) < 0 for v in tri) == 1:
+                    count += 1
     return count

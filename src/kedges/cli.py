@@ -94,14 +94,13 @@ def _cmd_census(args) -> int:
 def _cmd_crossings(args) -> int:
     S = load_point_set(args.file)
     if args.method == "both":
-        start = time.perf_counter()
-        rb = crossings_bruteforce(S)
-        brute_secs = time.perf_counter() - start
-        start = time.perf_counter()
-        ri = crossings_via_identity(S)
-        identity_secs = time.perf_counter() - start
-        print("bruteforce: %.6f s" % brute_secs, file=sys.stderr)
-        print("identity:   %.6f s" % identity_secs, file=sys.stderr)
+        reports = []
+        for count in (crossings_bruteforce, crossings_via_identity):
+            start = time.perf_counter()
+            reports.append(count(S))
+            secs = time.perf_counter() - start
+            print("%-11s %.6f s" % (reports[-1].method + ":", secs), file=sys.stderr)
+        rb, ri = reports
         if rb.crossings != ri.crossings:
             print(
                 "error: methods disagree: bruteforce %d, identity %d"
@@ -109,7 +108,6 @@ def _cmd_crossings(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_VERIFY
-        reports = [rb, ri]
     else:
         count = crossings_bruteforce if args.method == "brute" else crossings_via_identity
         reports = [count(S)]
@@ -246,12 +244,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_generate(args) -> int:
     spec = GeneratorSpec(args.kind, args.n, seed=args.seed, scale=args.scale)
     S = generate(spec)
-    comment = "generated: kind=%s n=%d seed=%d scale=%d" % (
-        spec.kind,
-        spec.n,
-        spec.seed,
-        spec.scale,
-    )
+    comment = "generated: kind=%(kind)s n=%(n)d seed=%(seed)d scale=%(scale)d" % vars(spec)
     text = format_point_set(S, comment=comment)
     if args.out:
         _write_output(args.out, text)

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .census import CumulativeEdgeVector, EdgeVector, edge_vector_sweep, max_depth
-from .geometry import Orientation, Point, PointSet, orientation
+from .geometry import Point, PointSet
 
 
 class CensusError(RuntimeError):
@@ -49,14 +49,17 @@ def is_convex_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> bool:
     turns and a point inside the triangle of the others gives an odd
     number.  A collinear triple is rejected.
     """
-    signs = []
-    for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
-        o = orientation(*t)
-        if o == Orientation.COLLINEAR:
-            raise ValueError("collinear triple among quadrilateral corners")
-        signs.append(o)
-    ccw = sum(1 for s in signs if s == Orientation.CCW)
-    return ccw % 2 == 0
+    ax, ay = a.x, a.y
+    bx, by = b.x - ax, b.y - ay
+    cx, cy = c.x - ax, c.y - ay
+    dx, dy = d.x - ax, d.y - ay
+    abc = bx * cy - by * cx
+    abd = bx * dy - by * dx
+    acd = cx * dy - cy * dx
+    bcd = abc - abd + acd  # the doubled areas satisfy abc - abd + acd - bcd = 0
+    if not (abc and abd and acd and bcd):
+        raise ValueError("collinear triple among quadrilateral corners")
+    return ((abc > 0) + (abd > 0) + (acd > 0) + (bcd > 0)) % 2 == 0
 
 
 def crossings_bruteforce(S: PointSet) -> CrossingReport:

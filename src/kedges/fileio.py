@@ -30,9 +30,9 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _excerpt(line: str) -> str:
-    """repr of line, cut to its first 40 characters."""
-    return repr(line) if len(line) <= 40 else repr(line[:40]) + "..."
+def _excerpt(text: str, show=repr) -> str:
+    """show(text), with text cut to its first 40 characters."""
+    return show(text) if len(text) <= 40 else show(text[:40]) + "..."
 
 
 def _integers(fields, lineno: int, line: str, malformed: str):
@@ -55,11 +55,12 @@ def parse_point_set(text: str) -> PointSet:
         raise PointSetFormatError("no content lines in point-set input")
     lineno, head = lines[0]
     (n,) = _integers([head], lineno, head, "expected the point count")
+    declared = _excerpt("%d" % n, str)
     if n < 3:
-        raise PointSetFormatError("a point set needs at least 3 points, file declares %d" % n)
+        raise PointSetFormatError("a point set needs at least 3 points, file declares " + declared)
     if len(lines) - 1 != n:
         raise PointSetFormatError(
-            "file declares %d points but has %d coordinate lines" % (n, len(lines) - 1)
+            "file declares %s points but has %d coordinate lines" % (declared, len(lines) - 1)
         )
     pts = []
     for lineno, line in lines[1:]:

@@ -16,6 +16,7 @@ from kedges import (
     orientation,
     strictly_inside_triangle,
 )
+from kedges.census import _normalize_ccw
 from kedges.generators import _EXHAUSTIVE_BUDGET, _RANDOM_SEARCH_TRIALS, _row_backtrack
 
 
@@ -81,6 +82,52 @@ def comparator_angular_order(S, p):
         return -1 if c > 0 else 1
 
     return sorted(vecs, key=cmp_to_key(cmp))
+
+
+def orientation_is_convex_quadrilateral(a, b, c, d):
+    """Oracle for is_convex_quadrilateral: the parity of the
+    counterclockwise turns among the four triples omitting one point
+    each, from four orientation calls."""
+    signs = []
+    for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
+        o = orientation(*t)
+        if o == Orientation.COLLINEAR:
+            raise ValueError("collinear triple among quadrilateral corners")
+        signs.append(o)
+    ccw = sum(1 for s in signs if s == Orientation.CCW)
+    return ccw % 2 == 0
+
+
+def recount_good_k_edge_count(S, triangle, k):
+    """Oracle for good_k_edge_count: every ordered pair's right side
+    recounted with orientation calls, O(n^3)."""
+    n = len(S)
+    tri = _normalize_ccw(triangle)
+    for i, p in enumerate(S):
+        if not strictly_inside_triangle(p, tri):
+            raise ValueError("point %d is not strictly inside the triangle" % i)
+    if not (n // 3 <= k and 2 * k <= n - 2):
+        raise ValueError("k=%d outside the window [floor(n/3), n/2-1] for n=%d" % (k, n))
+    count = 0
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            a, b = S[p], S[q]
+            right = 0
+            for i in range(n):
+                if i == p or i == q:
+                    continue
+                if orientation(a, b, S[i]) == Orientation.CW:
+                    right += 1
+            if right != k:
+                continue
+            corners_right = sum(
+                1 for v in tri if orientation(a, b, v) == Orientation.CW
+            )
+            if corners_right == 1:
+                count += 1
+    return count
 
 
 class OrderType:

@@ -10,12 +10,14 @@ from kedges import (
     Orientation,
     Point,
     EdgeVector,
+    GeneratorSpec,
     PointSet,
     containing_triangle,
     cumulative,
     edge_depth,
     edge_vector_bruteforce,
     edge_vector_sweep,
+    generate,
     good_k_edge_count,
     max_depth,
     orientation,
@@ -24,7 +26,7 @@ from kedges import (
     strictly_inside_triangle,
 )
 from kedges.census import left_counts
-from helpers import convex_polygon, random_point_set
+from helpers import convex_polygon, random_point_set, recount_good_k_edge_count
 
 
 def test_max_depth_values():
@@ -152,6 +154,19 @@ def test_good_k_edge_count_window_and_bound():
     with pytest.raises(ValueError):
         # unit triangle has no interior lattice point, so nothing fits
         good_k_edge_count(S, (Point(0, 0), Point(1, 0), Point(0, 1)), 3)
+
+
+def test_good_k_edge_count_matches_recount():
+    # random sets at small and 2^200 radius, and three-cluster sets,
+    # whose E_k meet the simple lower bound below floor(n/3)
+    rng = random.Random(4242)
+    sets = [random_point_set(rng, rng.randint(5, 13), radius=r) for r in (50, 2 ** 200) for _ in range(8)]
+    sets += [generate(GeneratorSpec("three-cluster", n)) for n in (9, 12, 13, 14)]
+    for S in sets:
+        n = len(S)
+        tri = containing_triangle(S)
+        for k in range(n // 3, (n - 2) // 2 + 1):
+            assert good_k_edge_count(S, tri, k) == recount_good_k_edge_count(S, tri, k)
 
 
 def test_vector_sums_to_all_pairs():

@@ -198,3 +198,30 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "1318" in proc.stdout
+
+
+def test_cross_check_outputs_are_pinned(capsys, tmp_path):
+    # stdout of the cross-checking commands, byte for byte, on a seeded
+    # 40-point disc set
+    path = str(tmp_path / "disc40.txt")
+    code, _, _ = run(capsys, ["generate", "--kind", "random-disc", "--n", "40", "--seed", "5", "--out", path])
+    assert code == 0
+    expected = {
+        ("verify", path): "verify: OK (n=40)\n",
+        ("crossings", path, "--method", "both"): (
+            "n: 40\ncrossings (bruteforce): 68126\ncrossings (identity): 68126\n"
+        ),
+        ("crossings", path, "--method", "both", "--json"): (
+            '{"crossings": 68126, "methods": ["bruteforce", "identity"], "n": 40}\n'
+        ),
+        ("crossings", path, "--method", "both", "--csv"): (
+            "n,method,crossings\n40,bruteforce,68126\n40,identity,68126\n"
+        ),
+        ("generate", "--kind", "grid-search", "--n", "8", "--scale", "3", "--seed", "9"): (
+            "# generated: kind=grid-search n=8 seed=9 scale=3\n8\n"
+            "3 0\n0 2\n0 3\n-2 -3\n-1 2\n2 0\n-1 -2\n-2 3\n"
+        ),
+    }
+    for argv, out in expected.items():
+        code, got, _ = run(capsys, list(argv))
+        assert (code, got) == (0, out), argv

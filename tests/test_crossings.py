@@ -1,6 +1,7 @@
 """Crossing counts: brute force, census identity, cumulative form."""
 
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -18,7 +19,7 @@ from kedges import (
     is_convex_quadrilateral,
     quadruple_constant,
 )
-from helpers import convex_polygon, random_point_set
+from helpers import convex_polygon, orientation_is_convex_quadrilateral, random_point_set
 
 
 def test_quadruple_constant_is_three_binomial():
@@ -36,6 +37,31 @@ def test_convex_quadrilateral_predicate():
     )
     with pytest.raises(ValueError):
         is_convex_quadrilateral(Point(0, 0), Point(1, 1), Point(2, 2), Point(5, 0))
+
+
+def test_convex_quadrilateral_predicate_matches_orientation_oracle():
+    rng = random.Random(919)
+    for radius in (20, 2 ** 64, 2 ** 200):
+        checked = 0
+        while checked < 60:
+            quad = [Point(rng.randint(-radius, radius), rng.randint(-radius, radius)) for _ in range(4)]
+            try:
+                expected = orientation_is_convex_quadrilateral(*quad)
+            except ValueError:
+                continue
+            for order in permutations(quad):
+                assert is_convex_quadrilateral(*order) == expected
+            checked += 1
+
+
+@pytest.mark.parametrize("off", range(4))
+def test_collinear_triple_raises_in_every_position(off):
+    # the one collinear triple is the one that omits position off
+    line = [Point(0, 0), Point(1, 1), Point(2, 2)]
+    quad = line[:off] + [Point(5, 0)] + line[off:]
+    for predicate in (is_convex_quadrilateral, orientation_is_convex_quadrilateral):
+        with pytest.raises(ValueError):
+            predicate(*quad)
 
 
 def test_smallest_cases():

@@ -75,6 +75,16 @@ def test_overlong_coordinate_names_the_digit_limit():
     assert len(msg) < 200
 
 
+@pytest.mark.parametrize("sign, needs", [("", "declares 1234567890"), ("-", "at least 3 points")])
+def test_huge_point_count_is_cut_in_the_message(sign, needs):
+    text = sign + "1234567890" * 400 + "\n0 0\n1 2\n4 1\n"
+    with pytest.raises(PointSetFormatError) as info:
+        parse_point_set(text)
+    msg = str(info.value)
+    assert needs in msg and "..." in msg
+    assert len(msg) < 120
+
+
 def test_collinear_triple_reports_file_lines():
     with pytest.raises(PointSetFormatError) as info:
         parse_point_set("# c\n3\n\n0 0\n1 1\n# gap\n2 2\n")

@@ -83,6 +83,33 @@ def test_identity_crossings_equal_brute_force_and_cumulative_form(S):
     assert crossings == exact_lcr_from_E(cumulative(edge_vector_bruteforce(S)))
 
 
+def _census_and_crossings(S):
+    return edge_vector_sweep(S), crossings_via_identity(S).crossings
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data(), point_sets(20) | big_point_sets)
+def test_census_and_crossings_ignore_point_order(data, S):
+    shuffled = PointSet(data.draw(st.permutations(list(S))))
+    assert _census_and_crossings(shuffled) == _census_and_crossings(S)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    point_sets(20) | big_point_sets,
+    st.lists(st.integers(-1000, 1000), min_size=6, max_size=6),
+    st.sampled_from([1, -1]),
+)
+def test_census_and_crossings_survive_integer_affine_maps(S, coeffs, flip):
+    # (a, b; c, d) + (e, f); flip negates the second row, and with it
+    # the determinant, so mirror images are drawn as often as not
+    a, b, c, d, e, f = coeffs
+    c, d = flip * c, flip * d
+    assume(a * d - b * c != 0)
+    T = PointSet([(a * p.x + b * p.y + e, c * p.x + d * p.y + f) for p in S])
+    assert _census_and_crossings(T) == _census_and_crossings(S)
+
+
 # tokens close to the point-set grammar: integers, near-integers that
 # int() alone would accept, an integer over CPython's int-string limit,
 # comment marks and arbitrary short text
