@@ -4,7 +4,8 @@ A segment spanned by two points of the set is a j-edge when exactly j
 points lie strictly on its smaller side.  The census collects the
 counts e_0..e_m with m = floor((n-2)/2); their prefix sums are the
 cumulative counts E_0..E_m.  Two independent routes are provided: a
-quadratic-per-point brute force and an O(n^2 log n) rotational sweep.
+quadratic-per-point brute force and an O(n^2 log n) count by rank over
+one exact sort of the lines through each point (``left_counts``).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .geometry import (
     Orientation,
     Point,
     PointSet,
-    angular_order,
     cross,
+    line_order,
     orientation,
 )
 
@@ -130,24 +131,28 @@ def left_counts(S: PointSet, p: int) -> List[Optional[int]]:
     """The row L with L[j] the number of points strictly left of the
     directed line p -> j, for every j != p (L[p] is None).
 
-    One rotational sweep: over angular_order(S, p), read twice around,
-    a window slides counterclockwise from each direction and holds the
-    vectors less than a half turn ahead of it, O(n log n) in all.
+    Counted by rank over line_order(S, p), with no products.  Left of
+    p -> j lie the directions less than a half turn counterclockwise of
+    it: when p -> j is up, the up entries after j and the other entries
+    before j (their true angles are a half turn more); otherwise the up
+    entries before j and the other entries after j.  A tie would be a
+    collinear triple, which line_order rejects.  So with U up entries
+    and D others, the u-th up entry, with d others before it, has
+    L = U - u + d, and the d-th other entry, with u up entries before
+    it, has L = D - d + u.
     """
-    vs = angular_order(S, p)
-    t = len(vs)
-    xs = [v[0] for v in vs] * 2
-    ys = [v[1] for v in vs] * 2
+    order = line_order(S, p)
+    U = sum(v[3] for v in order)
+    D = len(order) - U
     L: List[Optional[int]] = [None] * len(S)
-    k = 0
-    for i in range(t):
-        ux, uy, j = vs[i]
-        if k <= i:
-            k = i + 1
-        # stops at the latest on u's own copy, xs[i + t], ys[i + t]
-        while ux * ys[k] > uy * xs[k]:
-            k += 1
-        L[j] = k - i - 1
+    u = d = 0
+    for _, _, j, up in order:
+        if up:
+            u += 1
+            L[j] = U - u + d
+        else:
+            d += 1
+            L[j] = D - d + u
     return L
 
 

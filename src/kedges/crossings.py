@@ -64,12 +64,11 @@ def is_convex_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def crossings_bruteforce(S: PointSet) -> CrossingReport:
     """Count convex quadruples directly, O(n^4)."""
-    n = len(S)
     total = 0
-    for i, j, k, l in combinations(range(n), 4):
-        if is_convex_quadrilateral(S[i], S[j], S[k], S[l]):
+    for a, b, c, d in combinations(S, 4):
+        if is_convex_quadrilateral(a, b, c, d):
             total += 1
-    return CrossingReport(n, total, "bruteforce")
+    return CrossingReport(len(S), total, "bruteforce")
 
 
 def crossings_via_identity(S: PointSet) -> CrossingReport:

@@ -210,27 +210,40 @@ class PointSet:
         return moved
 
 
-def _hints(upper, lower) -> Tuple[List[float], List[float]]:
-    """Float presort keys: the angle of each upper vector, and of each
-    lower vector turned by a half turn, both in [0, pi]."""
-    return (
-        [atan2(dy, dx) for dx, dy, _ in upper],
-        [atan2(-dy, -dx) for dx, dy, _ in lower],
-    )
+def line_order(S: PointSet, p: int) -> List[Tuple[int, int, int, bool]]:
+    """The lines from point p to every other point j, as tuples
+    (cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
 
-
-def _settled(vs, hints: List[float], p: int) -> List[Tuple[int, int, int]]:
-    """The vectors of one open half plane through the origin, sorted
-    counterclockwise: presorted by ``hints``, then one insertion pass
-    moves each vector back while the integer cross product with its
-    left neighbour says it comes first."""
+    (cx, cy) is p -> j when that points into [0, pi) (``up``), and its
+    negation otherwise; on [0, pi) the sign of cx*cy' - cy*cx' is a
+    strict total order.  A float atan2 key presorts the vectors, as a
+    hint only (vectors too long for a float are shifted right by one
+    common amount), and one insertion pass settles every adjacent pair
+    by that integer sign, in O(n) when the hint is right.  A zero sign
+    means p is on a line with two points, perhaps between them; it
+    raises GeneralPositionError with the sorted triple.
+    """
+    o = S[p]
+    vs = []
+    for j, q in enumerate(S):
+        if j != p:
+            cx, cy = q.x - o.x, q.y - o.y
+            if cy > 0 or (cy == 0 and cx > 0):
+                vs.append((cx, cy, j, True))
+            else:
+                vs.append((-cx, -cy, j, False))
+    try:
+        hints = [atan2(cy, cx) for cx, cy, _, _ in vs]
+    except OverflowError:
+        s = max(max(abs(v[0]), abs(v[1])).bit_length() for v in vs) - 1000
+        hints = [atan2(cy >> s, cx >> s) for cx, cy, _, _ in vs]
     vs = [vs[i] for i in sorted(range(len(vs)), key=hints.__getitem__)]
     for i in range(1, len(vs)):
         v = vs[i]
-        vx, vy, vj = v
+        vx, vy, vj, _ = v
         k = i
         while k > 0:
-            ux, uy, uj = vs[k - 1]
+            ux, uy, uj, _ = vs[k - 1]
             c = ux * vy - uy * vx
             if c > 0:
                 break
@@ -246,30 +259,13 @@ def angular_order(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
     """The vectors (dx, dy, j) from point p to every other point j,
     sorted counterclockwise from angle 0.
 
-    Every order decision is an integer sign.  The vectors are split by
-    half plane (angles [0, pi), then [pi, 2*pi)); within each half a
-    float atan2 key presorts them, as a hint only, and one insertion
-    pass settles every adjacent pair by the sign of the cross product,
-    in O(n) when the hint is right.  Vectors too long for a float are
-    shifted right by one common amount, to at most 1000 bits, to make
-    the hint.  A tie means two points are collinear with p, which
-    general position forbids; it raises GeneralPositionError.
+    A split of line_order(S, p): its ``up`` entries, then the others
+    turned back by a half turn, each part in line order, which within
+    one half plane is angular order.  Every order decision is an
+    integer sign.
     """
-    o = S[p]
-    upper, lower = [], []
-    for j, q in enumerate(S):
-        if j != p:
-            dx, dy = q.x - o.x, q.y - o.y
-            (upper if dy > 0 or (dy == 0 and dx > 0) else lower).append((dx, dy, j))
-    try:
-        hu, hl = _hints(upper, lower)
-    except OverflowError:
-        s = max(max(abs(v[0]), abs(v[1])).bit_length() for v in upper + lower) - 1000
-        hu, hl = _hints(
-            [(dx >> s, dy >> s, j) for dx, dy, j in upper],
-            [(dx >> s, dy >> s, j) for dx, dy, j in lower],
-        )
-    return _settled(upper, hu, p) + _settled(lower, hl, p)
+    vs = line_order(S, p)
+    return [v[:3] for v in vs if v[3]] + [(-cx, -cy, j) for cx, cy, j, up in vs if not up]
 
 
 def convex_hull(S: PointSet) -> Tuple[int, ...]:

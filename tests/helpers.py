@@ -61,6 +61,16 @@ def brute_is_interior(S, i):
     return False
 
 
+def fan_point_set(rng, B, m):
+    """Origin plus two shuffled fans of m points near the directions
+    (1, 1) and (-1, -1) at distance about B: from the origin their
+    vectors differ in angle by about 1/B."""
+    pts = [(B + i * i, B + i * i + i) for i in range(1, m + 1)]
+    pts += [(-B - i * i, -B - i * i - i) for i in range(m + 1, 2 * m + 1)]
+    rng.shuffle(pts)
+    return PointSet([(0, 0)] + pts)
+
+
 def comparator_angular_order(S, p):
     """Oracle for angular_order: the vectors (dx, dy, j) from point p,
     sorted counterclockwise from angle 0 by an exact comparator (half
@@ -82,6 +92,27 @@ def comparator_angular_order(S, p):
         return -1 if c > 0 else 1
 
     return sorted(vecs, key=cmp_to_key(cmp))
+
+
+def window_left_counts(S, p):
+    """Oracle for left_counts: a window slides counterclockwise over
+    comparator_angular_order(S, p), read twice around, and holds the
+    vectors less than a half turn ahead of each direction."""
+    vs = comparator_angular_order(S, p)
+    t = len(vs)
+    xs = [v[0] for v in vs] * 2
+    ys = [v[1] for v in vs] * 2
+    L = [None] * len(S)
+    k = 0
+    for i in range(t):
+        ux, uy, j = vs[i]
+        if k <= i:
+            k = i + 1
+        # stops at the latest on u's own copy, xs[i + t], ys[i + t]
+        while ux * ys[k] > uy * xs[k]:
+            k += 1
+        L[j] = k - i - 1
+    return L
 
 
 def orientation_is_convex_quadrilateral(a, b, c, d):

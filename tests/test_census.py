@@ -26,7 +26,13 @@ from kedges import (
     strictly_inside_triangle,
 )
 from kedges.census import left_counts
-from helpers import convex_polygon, random_point_set, recount_good_k_edge_count
+from helpers import (
+    convex_polygon,
+    fan_point_set,
+    random_point_set,
+    recount_good_k_edge_count,
+    window_left_counts,
+)
 
 
 def test_max_depth_values():
@@ -90,6 +96,22 @@ def test_left_counts_match_direct_count():
                             1 for i in range(n)
                             if orientation(S[p], S[j], S[i]) == Orientation.CCW
                         )
+
+
+def test_left_counts_match_window_oracle():
+    rng = random.Random(708)
+    sets = [
+        random_point_set(rng, rng.randint(3, 14), radius=radius)
+        for radius in (60, 2 ** 200, 2 ** 1100)
+        for _ in range(20)
+    ]
+    sets += [generate(GeneratorSpec("three-cluster", n)) for n in (9, 12, 13, 14)]
+    # fans whose float angles tie or invert, and 2^1100 fans for the
+    # shifted hint
+    sets += [fan_point_set(rng, 2 ** e, m) for e in (60, 200, 1100) for m in (3, 8)]
+    for S in sets:
+        for p in range(len(S)):
+            assert left_counts(S, p) == window_left_counts(S, p)
 
 
 def test_oriented_counts_consistent_with_depths():

@@ -18,11 +18,14 @@ from kedges import (
     orientation,
     validate_general_position,
 )
+from kedges.census import left_counts
+from kedges.geometry import line_order
 from kedges.motion import _wedge_sorted
 from helpers import (
     brute_is_interior,
     comparator_angular_order,
     convex_polygon,
+    fan_point_set,
     order_type,
     random_point_set,
 )
@@ -197,16 +200,6 @@ def _hint_order(S, p):
     return sorted((j for j in range(len(S)) if j != p), key=key)
 
 
-def _fan(rng, B, m):
-    """Origin plus two shuffled fans of m points near the directions
-    (1, 1) and (-1, -1) at distance about B: from the origin their
-    vectors differ in angle by about 1/B."""
-    pts = [(B + i * i, B + i * i + i) for i in range(1, m + 1)]
-    pts += [(-B - i * i, -B - i * i - i) for i in range(m + 1, 2 * m + 1)]
-    rng.shuffle(pts)
-    return PointSet([(0, 0)] + pts)
-
-
 def test_angular_order_matches_comparator_oracle():
     rng = random.Random(204)
     for radius in (60, 2 ** 200, 2 ** 1100):
@@ -217,7 +210,7 @@ def test_angular_order_matches_comparator_oracle():
     repaired = 0
     for e in (60, 100, 200, 300, 1100):
         for m in (3, 8, 15):
-            S = _fan(rng, 2 ** e, m)
+            S = fan_point_set(rng, 2 ** e, m)
             for p in range(len(S)):
                 want = comparator_angular_order(S, p)
                 assert angular_order(S, p) == want
@@ -228,10 +221,35 @@ def test_angular_order_matches_comparator_oracle():
     assert repaired > 0
 
 
-def test_angular_order_raises_on_a_tie():
-    pts = [Point(0, 0), Point(1, 5), Point(2, 1), Point(4, 2), Point(-3, 1)]
+def _unvalidated(coords):
+    """A PointSet that skips validation, to reach the order's own check."""
     S = object.__new__(PointSet)
-    object.__setattr__(S, "points", tuple(pts))
+    object.__setattr__(S, "points", tuple(Point(x, y) for x, y in coords))
+    return S
+
+
+def test_angular_order_raises_on_a_tie():
+    S = _unvalidated([(0, 0), (1, 5), (2, 1), (4, 2), (-3, 1)])
     with pytest.raises(GeneralPositionError) as info:
         angular_order(S, 0)
+    assert info.value.triple == (0, 2, 3)
+
+
+@pytest.mark.parametrize("order", [line_order, left_counts])
+def test_line_order_raises_on_a_parallel_tie(order):
+    # from point 3, points 1 and 4 lie in the same direction (the
+    # angular_order case is test_angular_order_raises_on_a_tie)
+    S = _unvalidated([(1, 5), (3, 2), (-2, 1), (1, 1), (5, 3)])
+    with pytest.raises(GeneralPositionError) as info:
+        order(S, 3)
+    assert info.value.triple == (1, 3, 4)
+
+
+@pytest.mark.parametrize("order", [line_order, angular_order, left_counts])
+def test_line_order_raises_when_the_point_lies_between_two(order):
+    # point 2 is the midpoint of points 0 and 3: their vectors from it
+    # are opposite, so they only meet once turned into [0, pi)
+    S = _unvalidated([(4, 2), (1, 5), (1, 1), (-2, 0), (3, -2)])
+    with pytest.raises(GeneralPositionError) as info:
+        order(S, 2)
     assert info.value.triple == (0, 2, 3)

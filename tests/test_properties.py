@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kedges import (
+    GeneralPositionError,
     PointSet,
     PointSetFormatError,
     apply_motion,
@@ -50,6 +51,47 @@ def point_sets(draw, bound, clusters=False):
 
 
 big_point_sets = point_sets(2 ** 200) | point_sets(2 ** 200, clusters=True)
+
+
+def _naive_rejection(pts):
+    """Why a naive check rejects the list: the first repeated point
+    (with its first occurrence), else the lexicographically first
+    collinear index triple by the cubic scan, else None."""
+    n = len(pts)
+    for j in range(n):
+        for i in range(j):
+            if pts[i] == pts[j]:
+                return ("duplicate point at indices (%d, %d)" % (i, j), None)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if _collinear(pts[i], pts[j], pts[k]):
+                    return (None, (i, j, k))
+    return None
+
+
+# coordinates in -3..3, so that duplicates and collinear triples are
+# common; distinct points half of the time, so that collinear triples
+# are not hidden behind a duplicate
+_small_point = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.lists(_small_point, min_size=3, max_size=10, unique=True)
+    | st.lists(_small_point, min_size=3, max_size=10)
+)
+def test_point_set_accepts_exactly_what_the_naive_check_accepts(pts):
+    want = _naive_rejection(pts)
+    try:
+        S = PointSet(pts)
+    except GeneralPositionError as exc:
+        assert want == (None, exc.triple)
+    except ValueError as exc:
+        assert want == (str(exc), None)
+    else:
+        assert want is None
+        assert [tuple(p) for p in S] == pts
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
