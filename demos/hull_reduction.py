@@ -1,14 +1,16 @@
 """Reduce a configuration to a triangular hull, step by step.
 
-Extreme points are pulled inward along straight rays.  Each time the
-moving point crosses a line through two others, one orientation flips
-and the census shifts by exactly one unit; the stops are chosen so the
-crossing count never increases.  The walk ends when only three extreme
-points remain.
+Pairs of extreme points travel outward along halving rays, past the
+far side of the set; they stay extreme, and the hull points between
+them become interior.  Each time the moving point crosses a line
+through two others, one orientation flips and the census shifts by
+exactly one unit, and along a halving ray the crossing count only
+falls.  Each point stops at the simplest rational parameter before its
+next event.  The walk ends when only three extreme points remain.
 
-Stop parameters are exact rationals; they are rounded below only for
-display.  Run ``kedges reduce --trace out.json`` on a saved point set
-to get the full-precision trace.
+Stops are printed exactly; event parameters are exact rationals too,
+rounded below only for display.  Run ``kedges reduce --trace out.json``
+on a saved point set to get the full-precision trace.
 """
 
 import random
@@ -43,8 +45,8 @@ def main():
     T, trace = reduce_to_triangle(S)
     digits = 1
     for i, step in enumerate(trace.steps):
-        print("step %d: point %d slides inward, stops at t ~ %.6g" % (
-            i + 1, step.moved, float(step.stop)))
+        print("step %d: point %d moves outward, stops at t = %s" % (
+            i + 1, step.moved, step.stop))
         digits = max(digits, len(str(step.stop.numerator)))
         for ev in step.events:
             print("  t ~ %-12.6g crosses the line through %s at depth k=%d"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import count, islice
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -28,7 +29,6 @@ from .census import EdgeVector, edge_vector_sweep, left_counts
 from .crossings import crossings_from_census
 from .geometry import (
     GeneralPositionError,
-    Point,
     PointSet,
     angular_order,
     convex_hull,
@@ -263,9 +263,9 @@ def halving_ray_pair(
     return _ray_pair(S, hull, p, q, _heavy_side(S, p, q), attempt_p, attempt_q)
 
 
-def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[Fraction, Tuple[int, int]]]:
-    """All positive parameters where the moving point crosses a line
-    through two other points, with the pair, unsorted."""
+def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[int, int, Tuple[int, int]]]:
+    """All positive parameters num/den (den > 0) where the moving point
+    crosses a line through two other points, with the pair, unsorted."""
     p = ray.anchor
     p0 = S[p]
     dx, dy = ray.direction
@@ -285,7 +285,7 @@ def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[Fraction, Tuple[int, 
                 continue
             if (A > 0) == (B > 0):
                 continue
-            out.append((Fraction(-A, B), (i, j)))
+            out.append((-A, B, (i, j)) if B > 0 else (A, -B, (i, j)))
     return out
 
 
@@ -334,16 +334,23 @@ def _classify(
     )
 
 
-def _events(S: PointSet, ray: Ray, stop: Optional[Fraction]) -> List[MutationEvent]:
-    raw = _event_parameters(S, ray)
-    if stop is not None:
-        raw = [ev for ev in raw if ev[0] <= stop]
-    raw.sort(key=lambda ev: ev[0])
-    for a, b in zip(raw, raw[1:]):
-        if a[0] == b[0]:
-            raise SimultaneousEventError(a[0], [a[1], b[1]], ray.anchor)
+def _sorted_events(
+    S: PointSet, ray: Ray, raw: List[Tuple[int, int, Tuple[int, int]]]
+) -> List[MutationEvent]:
+    """The events of ``raw`` (from _event_parameters) classified, in
+    increasing order of parameter.
+
+    The parameters num/den are ordered exactly by the sign of
+    num * den' - num' * den, with no Fraction built for the comparison;
+    two equal ones raise SimultaneousEventError.  Only the events get a
+    Fraction.
+    """
+    raw = sorted(raw, key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+    for u, v in zip(raw, raw[1:]):
+        if u[0] * v[1] == v[0] * u[1]:
+            raise SimultaneousEventError(Fraction(u[0], u[1]), [u[2], v[2]], ray.anchor)
     rows: Dict[int, list] = {}
-    return [_classify(S, ray, t, pair, rows) for t, pair in raw]
+    return [_classify(S, ray, Fraction(num, den), pair, rows) for num, den, pair in raw]
 
 
 def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
@@ -355,16 +362,19 @@ def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
     stop = Fraction(stop)
     if stop <= 0:
         raise ValueError("stop must be positive")
-    return _events(S, ray, stop)
+    sn, sd = stop.numerator, stop.denominator
+    raw = [ev for ev in _event_parameters(S, ray) if ev[0] * sd <= sn * ev[1]]
+    return _sorted_events(S, ray, raw)
 
 
 def apply_motion(S: PointSet, p: int, ray: Ray, stop) -> PointSet:
     """The set with p moved to its exact position at parameter ``stop``.
 
-    The moved coordinate is rational; the whole set is rescaled by one
-    positive integer factor (the cleared denominator), which preserves
-    the order type.  A stop landing on an event raises the
-    general-position error; callers retry with a different stop.
+    The moved coordinates are rational; the whole set is rescaled by
+    their least common denominator, one positive integer, which
+    preserves the order type.  For a primitive direction that factor is
+    the stop's denominator, so an integer stop rescales nothing.  A stop
+    landing on an event raises the general-position error.
     """
     if ray.anchor != p:
         raise ValueError("ray is anchored at %d, not %d" % (ray.anchor, p))
@@ -389,82 +399,156 @@ _MAX_ATTEMPTS = 64
 
 
 class _RoundRetry(Exception):
-    """The parallel stop line was not placed close enough to the set."""
+    """A landing of the round went too deep: p's landing left q's ray
+    no longer a halving ray of the moved set, or a stop broke general
+    position.  ``depth`` is that landing's relative depth; the next
+    attempt caps the band at half of it."""
+
+    def __init__(self, depth: Fraction):
+        super().__init__(depth)
+        self.depth = depth
 
 
-def _signed_offset(h, origin: Point, x, y):
-    """Signed distance surrogate of (x, y) across the line through
-    ``origin`` with direction h; positive on its left (tail) side."""
-    return h[0] * (y - origin.y) - h[1] * (x - origin.x)
+def _simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
+    """The simplest rational strictly between lo >= 0 and hi > lo (None
+    for no upper end): the least denominator, then the least numerator.
+
+    It is the first node of the Stern-Brocot tree inside the interval
+    (Graham, Knuth and Patashnik, Concrete Mathematics, section 4.5).
+    The walk takes each run of steps in one direction at once: if an
+    integer lies strictly inside, the least one, floor(lo) + 1, is the
+    answer; otherwise both ends share the integer part a, and the
+    answer is a + 1/y with y the simplest rational strictly between
+    1/(hi - a) and 1/(lo - a) (no upper end when lo = a).  The terms a
+    are the continued fraction the two ends share.
+    """
+    terms = []
+    while True:
+        a = lo.numerator // lo.denominator
+        if hi is None or a + 1 < hi:
+            terms.append(a + 1)
+            break
+        terms.append(a)
+        lo, hi = 1 / (hi - a), (None if lo == a else 1 / (lo - a))
+    x = Fraction(terms.pop())
+    while terms:
+        x = terms.pop() + 1 / x
+    return x
 
 
-def _stop_at_offset(S: PointSet, ray: Ray, h, origin: Point, target) -> Fraction:
-    """Parameter at which the ray's anchor reaches signed offset
-    ``target``; the head must be driving the offset down."""
+def _land(
+    S: PointSet, ray: Ray, h: Tuple[int, int], pair: Tuple[int, int],
+    band: Optional[Fraction],
+) -> Tuple[PointSet, MotionStep, Fraction]:
+    """Move the ray's anchor a to just beyond the far offset across h.
+
+    The far offset is the least signed offset cross(h, x - a) over the
+    points x of S outside ``pair``.  The anchor reaches it at t_low, and
+    its first event after t_low is at t_next (none: no upper end).  The
+    stop is the simplest rational in (t_low, t_next), below
+    t_low * (1 + band) when a band is given, so that the landing lies
+    at most ``band`` times the far offset beyond it.  One
+    _event_parameters pass gives t_next and the step's events, those up
+    to t_low.  Returns the moved set, the step and the landing's
+    relative depth stop / t_low - 1; a stop that breaks general position
+    raises _RoundRetry with that depth.
+    """
     a = S[ray.anchor]
-    start = _signed_offset(h, origin, a.x, a.y)
+    low = min(h[0] * (x.y - a.y) - h[1] * (x.x - a.x) for j, x in enumerate(S) if j not in pair)
     dx, dy = ray.direction
     rate = h[0] * dy - h[1] * dx
-    if rate >= 0:
-        raise RuntimeError("internal: ray head does not leave across the pair line")
-    t = Fraction(target - start, rate)
-    if t <= 0:
-        raise RuntimeError("internal: stop parameter is not positive")
-    return t
-
-
-def _land(S: PointSet, ray: Ray, stop: Fraction) -> Tuple[PointSet, MotionStep]:
-    """Move the ray's anchor to ``stop``, with the events on the way;
-    a stop on an event raises _RoundRetry."""
-    events = _events(S, ray, stop)
-    if events and events[-1].t == stop:
-        raise _RoundRetry
-    return apply_motion(S, ray.anchor, ray, stop), MotionStep(ray.anchor, ray, stop, tuple(events))
+    if rate >= 0 or low >= 0:
+        raise RuntimeError("internal: the ray does not head past the far side of the set")
+    t_low = Fraction(low, rate)
+    ln, ld = t_low.numerator, t_low.denominator
+    kept = []
+    nxt = None
+    for ev in _event_parameters(S, ray):
+        num, den, _ = ev
+        if num * ld <= ln * den:
+            kept.append(ev)
+        elif nxt is None or num * nxt[1] < nxt[0] * den:
+            nxt = ev
+    hi = None if nxt is None else Fraction(nxt[0], nxt[1])
+    if band is not None:
+        cap = t_low * (1 + band)
+        hi = cap if hi is None else min(hi, cap)
+    stop = _simplest_between(t_low, hi)
+    depth = stop / t_low - 1
+    events = _sorted_events(S, ray, kept)
+    try:
+        moved = apply_motion(S, ray.anchor, ray, stop)
+    except GeneralPositionError:
+        raise _RoundRetry(depth)
+    return moved, MotionStep(ray.anchor, ray, stop, tuple(events)), depth
 
 
 def _round_once(
     S0: PointSet, hull: Tuple[int, ...], p: int, q: int, h: Tuple[int, int],
-    attempt: Dict[int, int], target: Fraction,
-) -> Tuple[PointSet, List[MotionStep]]:
-    """One reduction round: move p, then q, onto the common line
-    parallel to their connecting line at signed offset ``target``
-    across h (the heavy-side direction of line pq), beyond the set.
+    attempt: Dict[int, int], band: Optional[Fraction],
+) -> Tuple[PointSet, List[MotionStep], Fraction]:
+    """One reduction round: land p, then q, just beyond the far offset
+    across h (the heavy-side direction of line pq).
 
-    ``hull`` is the hull of S0 and ``attempt`` maps p and q to the
-    tail-direction attempt of their rays.  Raises
+    ``hull`` is the hull of S0, ``attempt`` maps p and q to the
+    tail-direction attempt of their rays, and ``band`` caps the relative
+    depth of both landings (None: no cap).  Returns the moved set, the
+    two steps and the deeper landing's depth.  Raises
     SimultaneousEventError (whose ``moving`` names the ray to nudge)
-    and _RoundRetry when the stop line has to move closer to the set.
+    and _RoundRetry.
     """
     ray_p, ray_q = _ray_pair(S0, hull, p, q, h, attempt[p], attempt[q])
-    S1, step_p = _land(S0, ray_p, _stop_at_offset(S0, ray_p, h, S0[p], target))
+    S1, step_p, depth = _land(S0, ray_p, h, (p, q), band)
     # moving p never crosses the line of q's ray (the two lines meet in
     # their tails, inside the hull), so the split is untouched; only q's
-    # extremality could degrade, in which case the stop line moves closer
+    # extremality could degrade, in which case the band narrows
     if not is_halving_ray(S1, ray_q):
-        raise _RoundRetry
-    S2, step_q = _land(S1, ray_q, _stop_at_offset(S1, ray_q, h, S1[p], Fraction(0)))
-    return S2, [step_p, step_q]
+        raise _RoundRetry(depth)
+    S2, step_q, depth_q = _land(S1, ray_q, h, (p, q), band)
+    return S2, [step_p, step_q], max(depth, depth_q)
 
 
 def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     """Shrink the convex hull to a triangle without ever increasing the
     crossing count.
 
-    Each round pairs the first hull point with the opposite one,
-    hull[len(hull) // 2] (never adjacent to it on a hull of four or
-    more points), equips both with halving rays whose tails share the
-    heavier side of their connecting line, and moves first one and then
-    the other point onto a common stop line parallel to that connecting
-    line, placed just beyond the far side of the set.  Every mutation on
-    the way strictly decreases the crossing count and shifts one census
-    unit downward, and the hull points between the pair on the
-    stop-line side become interior, so the hull shrinks every round; the
-    opposite pair puts about half of the hull on that side.  Every
-    landing rescales the whole set, so few rounds also keep the
-    coordinates short.  If a stop line turns
-    out to sit too deep (a landing hits an event, or the hull fails to
-    shrink), it is retried exponentially closer to the set; if a motion
-    hits simultaneous events, that point's ray is nudged.
+    Each round pairs the first hull point p with the opposite one
+    q = hull[len(hull) // 2] (never adjacent to it on a hull of four or
+    more points) and equips both with halving rays whose tails enter the
+    heavier side of line pq; the two ray lines meet in their tails at a
+    point z strictly inside the hull, on that side, and the heads leave
+    across line pq.  The
+    far offset is the least signed offset across pq of the points other
+    than p and q.  First p, then q, moves outward along its ray to the
+    simplest rational parameter beyond the far offset and before its
+    next event (``_land``): with primitive directions most landings are
+    lattice points, and a fractional one rescales the set by a small
+    denominator, so coordinates stay near the input size.  Every
+    mutation on the way strictly decreases the crossing count and
+    shifts one census unit downward.
+
+    Why the hull shrinks.  p lies between z and its landing p', and z
+    is in the old hull, so z is a convex combination of p' and the
+    points that stay: the hull only grows, no interior point becomes
+    extreme, and z stays inside; the same holds for q.  A hull point c
+    strictly between p and q on the side the heads cross to is inside
+    the angle of the two rays at z, because segment zc crosses line pq
+    within segment pq.  The offset falls linearly along both rays from
+    z, and c's offset is at least the far offset while p' and q' lie
+    beyond it, so c is strictly inside the triangle z p' q' (it is on
+    neither ray line) and becomes interior.  The new hull vertices are
+    thus p', q' and old ones other than p, q and every such c; at least
+    one c exists, so the hull shrinks, whether or not p' and q' share a
+    line parallel to pq.  The check ``len(hull2) < len(hull)`` stays as
+    a guard.
+
+    If p's landing makes q's ray stop being a halving ray (q is no
+    longer extreme), a landing breaks general position, or the guard
+    fails, the band narrows: the relative depth of the landings beyond
+    the far offset is capped at half that of the landing at fault (the
+    deeper one when the guard fails), so the cap at least halves each
+    time.  If a motion hits simultaneous events, that point's ray is
+    nudged.
     """
     steps: List[MotionStep] = []
     before = config_summary(S)
@@ -472,25 +556,20 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     while len(hull) > 3:
         p, q = hull[0], hull[len(hull) // 2]
         h = _heavy_side(S, p, q)
-        low = min(
-            _signed_offset(h, S[p], pt.x, pt.y) for j, pt in enumerate(S) if j != p and j != q
-        )
         attempt = {p: 0, q: 0}
-        depth_exp = 0
+        band: Optional[Fraction] = None
         for _ in range(_MAX_ATTEMPTS):
             try:
-                S2, new_steps = _round_once(
-                    S, hull, p, q, h, attempt, low - Fraction(1, 2 ** depth_exp)
-                )
+                S2, new_steps, depth = _round_once(S, hull, p, q, h, attempt, band)
             except SimultaneousEventError as exc:
                 attempt[exc.moving] += 1
                 continue
-            except (_RoundRetry, GeneralPositionError):
-                depth_exp += 1
+            except _RoundRetry as exc:
+                band = exc.depth / 2
                 continue
             hull2 = convex_hull(S2)
             if len(hull2) >= len(hull):
-                depth_exp += 1
+                band = depth / 2
                 continue
             S, hull = S2, hull2
             steps.extend(new_steps)

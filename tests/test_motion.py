@@ -15,6 +15,7 @@ from kedges import (
     apply_motion,
     convex_hull,
     crossings_bruteforce,
+    crossings_via_identity,
     cumulative,
     edge_vector_bruteforce,
     generate,
@@ -27,7 +28,9 @@ from kedges import (
     orientation,
     reduce_to_triangle,
 )
-from helpers import convex_polygon, order_type, random_point_set
+from kedges import motion
+from kedges.motion import _simplest_between
+from helpers import convex_polygon, coord_bits, order_type, random_point_set
 
 
 def cr(S):
@@ -338,6 +341,120 @@ def test_event_center_and_k_match_recount():
     assert rays > 300
 
 
+def _event_oracle(S, ray):
+    """(t, pair) of every event of the ray, each t solved from the
+    collinearity of the moving point with the pair as a Fraction,
+    sorted."""
+    p, (dx, dy) = ray.anchor, ray.direction
+    o = S[p]
+    out = []
+    for i in range(len(S)):
+        for j in range(i + 1, len(S)):
+            if p in (i, j):
+                continue
+            a, b = S[i], S[j]
+            ex, ey = b.x - a.x, b.y - a.y
+            den = ex * dy - ey * dx
+            if den:
+                t = Fraction(ey * (o.x - a.x) - ex * (o.y - a.y), den)
+                if t > 0:
+                    out.append((t, (i, j)))
+    return sorted(out)
+
+
+def _near_tie_set(rng, X, m):
+    """The origin and m points at x = X + 1..1000, y = +-1..1000."""
+    while True:
+        pts = [(X + rng.randint(1, 1000), rng.choice((1, -1)) * rng.randint(1, 1000))
+               for _ in range(m)]
+        try:
+            return PointSet([(0, 0)] + pts)
+        except ValueError:
+            continue
+
+
+def test_motion_events_are_sorted_exactly():
+    # moving the origin along (1, 0) past points at x = X + O(1000): at
+    # X = 2^100 the event parameters tie as floats, and at X = 2^1100
+    # their quotients overflow a float
+    rng = random.Random(999)
+    for X in (2 ** 100, 2 ** 1100):
+        for _ in range(5):
+            S = _near_tie_set(rng, X, 10)
+            ray = Ray(0, (1, 0))
+            events = motion_events(S, 0, ray, all_events_stop(S))
+            assert [(ev.t, ev.pair) for ev in events] == _event_oracle(S, ray)
+    for _ in range(20):
+        S = random_point_set(rng, rng.randint(4, 10), radius=2 ** 200)
+        ray = Ray(rng.randrange(len(S)), (rng.randint(-9, 9), rng.randint(1, 9)))
+        events = motion_events(S, ray.anchor, ray, all_events_stop(S))
+        assert [(ev.t, ev.pair) for ev in events] == _event_oracle(S, ray)
+
+
+def _simplest_by_search(lo, hi):
+    """The least denominator d with a fraction strictly between lo and
+    hi (None: no upper end), with the least such numerator."""
+    d = 1
+    while True:
+        num = lo.numerator * d // lo.denominator + 1
+        if hi is None or Fraction(num, d) < hi:
+            return Fraction(num, d)
+        d += 1
+
+
+def test_simplest_between_matches_search():
+    rng = random.Random(1234)
+    for _ in range(400):
+        lo = Fraction(rng.randint(0, 200), rng.randint(1, 60))
+        hi = None if rng.random() < 0.1 else lo + Fraction(rng.randint(1, 50), rng.randint(1, 400))
+        assert _simplest_between(lo, hi) == _simplest_by_search(lo, hi), (lo, hi)
+    # an integer end is excluded, on either side
+    assert _simplest_between(Fraction(2), Fraction(3)) == Fraction(5, 2)
+    assert _simplest_between(Fraction(2), None) == 3
+
+
+@pytest.mark.parametrize("refused", ["is_halving_ray", "apply_motion"])
+def test_reduce_narrows_the_band_after_a_retry(monkeypatch, refused):
+    # refuse p's first landing of the first round, once: q's ray is
+    # reported as no longer halving, or the landing as degenerate
+    lands = []
+    real_land = motion._land
+
+    def land(S, ray, h, pair, band):
+        try:
+            out = real_land(S, ray, h, pair, band)
+        except motion._RoundRetry as exc:
+            lands.append((band, exc.depth))
+            raise
+        lands.append((band, out[2]))
+        return out
+
+    real = getattr(motion, refused)
+    refuse = [True]
+
+    def once(*args):
+        if refuse[0]:
+            refuse[0] = False
+            if refused == "apply_motion":
+                raise GeneralPositionError((0, 1, 2))
+            return False
+        return real(*args)
+
+    monkeypatch.setattr(motion, "_land", land)
+    monkeypatch.setattr(motion, refused, once)
+    S = convex_polygon(8)
+    T, trace = reduce_to_triangle(S)
+    # the retried round lands p, then q, within half the refused depth
+    (band0, depth0), (band_p, depth_p), (band_q, depth_q) = lands[:3]
+    assert band0 is None and band_p == band_q == depth0 / 2
+    assert 0 < depth_p < band_p and 0 < depth_q < band_q
+    assert hull_size(T) == 3
+    R = S
+    for st in trace.steps:
+        R = apply_motion(R, st.moved, st.ray, st.stop)
+    assert R == T
+
+
 # ---------------------------------------------------------- reduction
 
 
@@ -392,14 +509,15 @@ def test_reduce_trace_replays_to_output():
 
 
 def test_reduce_convex_position_stays_polynomial():
-    # every landing rescales the whole set, so coordinate bits compound
-    # with the number of rounds; opposite pairs keep that number small
+    # landings stop at the simplest rational before the next event, so
+    # a fractional stop rescales the set by a small denominator only;
+    # opposite pairs keep the number of rounds small
     for n in range(4, 41):
         S = generate(GeneratorSpec("convex", n))
         T, trace = reduce_to_triangle(S)
         assert hull_size(T) == 3, n
         assert len(trace.steps) <= 4, n
-        assert max(max(abs(p.x).bit_length(), abs(p.y).bit_length()) for p in T) <= 128, n
+        assert coord_bits(T) <= 32, n
         R = S
         for st in trace.steps:
             R = apply_motion(R, st.moved, st.ray, st.stop)
@@ -407,7 +525,8 @@ def test_reduce_convex_position_stays_polynomial():
 
 
 # Sets whose reduction hits simultaneous events: in A the motion of q
-# in the first round, in B the motion of p in the second.
+# in the first round, in B the motion of p in the second.  Both come
+# from seeded searches over 9-point sets in [-6, 6]^2.
 NUDGE_CASES = [
     (
         [(-6, -4), (-4, -3), (1, -6), (2, -6), (2, -4), (3, 3), (5, -5), (5, 4), (6, 0)],
@@ -416,12 +535,27 @@ NUDGE_CASES = [
         (0, 1),
     ),
     (
-        [(-6, -2), (-5, 6), (-4, -4), (1, -3), (1, 3), (2, 2), (4, -6), (4, -1), (5, 3)],
-        [(0, (-7, -2)), (6, (4, -7)), (0, (-603, -202)), (8, (1051, 602))],
-        68,
+        [(-5, 3), (-4, 0), (-2, 1), (-2, 3), (1, -6), (1, -2), (2, -6), (3, 5), (5, -4)],
+        [(0, (-4, 3)), (6, (1, -2)), (0, (-72, 53)), (8, (104, -69))],
+        54,
         (1, 0),
     ),
 ]
+
+
+def test_reduce_large_coordinates_grow_little():
+    # radius 2^40: landings a fixed 1/2^k beyond the far side, whatever
+    # the stop's denominator, let this set grow from 40 to 2000 bits
+    S = generate(GeneratorSpec("random-disc", 27, 172, scale=2 ** 40))
+    T, trace = reduce_to_triangle(S)
+    assert hull_size(T) == 3
+    assert coord_bits(T) <= coord_bits(S) + 64
+    assert all(ev.crossing_delta < 0 for st in trace.steps for ev in st.events)
+    assert trace.after.crossings == crossings_via_identity(T).crossings
+    R = S
+    for st in trace.steps:
+        R = apply_motion(R, st.moved, st.ray, st.stop)
+    assert R == T
 
 
 def test_reduce_nudges_the_ray_that_hit_simultaneous_events():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kedges import (
     GeneralPositionError,
+    GeneratorSpec,
     PointSet,
     PointSetFormatError,
     apply_motion,
@@ -14,10 +15,12 @@ from kedges import (
     edge_vector_bruteforce,
     edge_vector_sweep,
     exact_lcr_from_E,
+    generate,
     hull_size,
     parse_point_set,
     reduce_to_triangle,
 )
+from helpers import coord_bits
 
 
 def _collinear(a, b, c):
@@ -109,6 +112,27 @@ def test_reduce_to_triangle_postconditions_and_replay(S):
     assert R == T
     if len(S) <= 9:
         assert trace.after.crossings == crossings_bruteforce(T).crossings
+
+
+@st.composite
+def random_disc_sets(draw):
+    """A random-disc set of 5 to 30 points with a radius of 2^4 to 2^40,
+    of every bit length in that range."""
+    n = draw(st.integers(5, 30))
+    e = draw(st.integers(5, 40))
+    radius = draw(st.integers(2 ** (e - 1), 2 ** e))
+    return generate(GeneratorSpec("random-disc", n, draw(st.integers(0, 2 ** 32)), scale=radius))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(random_disc_sets())
+def test_reduce_to_triangle_keeps_coordinates_near_input_size(S):
+    T, trace = reduce_to_triangle(S)
+    assert coord_bits(T) <= coord_bits(S) + 64
+    R = S
+    for step in trace.steps:
+        R = apply_motion(R, step.moved, step.ray, step.stop)
+    assert R == T
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
