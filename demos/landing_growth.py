@@ -1,17 +1,17 @@
 """Coordinate growth of the hull reduction over a seeded stress set.
 
-Reduces random-disc sets with n from 6 to 40 points and radii from 20
-to 2^40 (log-uniform), checks each result (triangular hull, every event
-lowers the crossing count, final crossings equal the identity count of
-the output, the trace replays onto the output) and prints the worst
-growth in coordinate bits, output minus input, with the set it came
-from, and the total time.  Each landing stops at the simplest rational
-before the moving point's next event, so the growth stays small.
+Reduces 240 random-disc sets drawn from seed 0 (SETS, SEED), with n
+from 6 to 40 points and radii from 20 to 2^40 (log-uniform), checks
+each result (triangular hull, every event lowers the crossing count,
+final crossings equal the identity count of the output, the trace
+replays onto the output) and prints the worst growth in coordinate
+bits, output minus input, with the set it came from, and the total
+time.  Each landing stops at the simplest rational before the moving
+point's next event, so the growth stays small.
 
-    PYTHONPATH=src python demos/landing_growth.py [--sets 240] [--seed 0]
+    PYTHONPATH=src python demos/landing_growth.py
 """
 
-import argparse
 import random
 import time
 from math import log2
@@ -19,15 +19,15 @@ from math import log2
 from kedges import (
     GeneratorSpec,
     apply_motion,
+    coord_bits,
     crossings_via_identity,
     generate,
     hull_size,
     reduce_to_triangle,
 )
 
-
-def bits(S):
-    return max(max(abs(p.x).bit_length(), abs(p.y).bit_length()) for p in S)
+SETS = 240
+SEED = 0
 
 
 def problems(S, T, trace):
@@ -46,16 +46,12 @@ def problems(S, T, trace):
     return out
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sets", type=int, default=240)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
-    rng = random.Random(args.seed)
+def main():
+    rng = random.Random(SEED)
     worst = None
     failed = 0
     start = time.perf_counter()
-    for _ in range(args.sets):
+    for _ in range(SETS):
         n = rng.randint(6, 40)
         radius = round(2 ** rng.uniform(log2(20), 40))
         seed = rng.randrange(2 ** 32)
@@ -65,12 +61,12 @@ def main(argv=None):
         if found:
             failed += 1
             print("random-disc --n %d --seed %d --scale %d: %s" % (n, seed, radius, "; ".join(found)))
-        growth = bits(T) - bits(S)
+        growth = coord_bits(T) - coord_bits(S)
         if worst is None or growth > worst[0]:
-            worst = (growth, n, seed, radius, bits(S), bits(T))
+            worst = (growth, n, seed, radius, coord_bits(S), coord_bits(T))
     elapsed = time.perf_counter() - start
     growth, n, seed, radius, b_in, b_out = worst
-    print("%d sets, %d failed checks, %.1f s" % (args.sets, failed, elapsed))
+    print("%d sets, %d failed checks, %.1f s" % (SETS, failed, elapsed))
     print("worst growth %d bits: random-disc --n %d --seed %d --scale %d (%d -> %d bits)"
           % (growth, n, seed, radius, b_in, b_out))
     return 1 if failed else 0

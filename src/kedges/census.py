@@ -161,18 +161,12 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     points strictly to the right of the directed line p -> q: the sum
     over every point p of its left_counts row, O(n^2 log n).
     """
-    if len(S) < 3:
+    n = len(S)
+    if n < 3:
         raise ValueError("census needs at least 3 points")
-    return oriented_counts_from_rows([left_counts(S, p) for p in range(len(S))])
-
-
-def oriented_counts_from_rows(rows: Sequence[List[Optional[int]]]) -> Tuple[int, ...]:
-    """oriented_edge_counts read from the left_counts rows of all n
-    points, in point order."""
-    n = len(rows)
     H = [0] * (n - 1)
-    for row in rows:
-        for left in row:
+    for p in range(n):
+        for left in left_counts(S, p):
             if left is not None:
                 H[n - 2 - left] += 1
     return tuple(H)
@@ -180,13 +174,8 @@ def oriented_counts_from_rows(rows: Sequence[List[Optional[int]]]) -> Tuple[int,
 
 def edge_vector_sweep(S: PointSet) -> EdgeVector:
     """Depth histogram via the rotational sweep, O(n^2 log n)."""
-    return edge_vector_from_oriented_counts(oriented_edge_counts(S))
-
-
-def edge_vector_from_oriented_counts(H: Sequence[int]) -> EdgeVector:
-    """The depth histogram of an (len(H) + 1)-point set from its
-    oriented_edge_counts H."""
-    n = len(H) + 1
+    n = len(S)
+    H = oriented_edge_counts(S)
     m = max_depth(n)
     e = [H[j] for j in range(m + 1)]
     if n % 2 == 0:
@@ -217,10 +206,7 @@ def strictly_inside_triangle(p: Point, tri: Sequence[Point]) -> bool:
     )
 
 
-def good_k_edge_count(
-    S: PointSet, triangle: Sequence[Point], k: int,
-    rows: Optional[Sequence[List[Optional[int]]]] = None,
-) -> int:
+def good_k_edge_count(S: PointSet, triangle: Sequence[Point], k: int) -> int:
     """Count ordered pairs (p, q) of S that have exactly k points of S
     strictly to the right of the directed line p -> q and exactly one
     corner of the enclosing triangle strictly to the right (the "good"
@@ -232,8 +218,7 @@ def good_k_edge_count(
     Each point's left_counts row gives the sides: S is in general
     position, so L[q] points lie left of p -> q and n - 2 - L[q] right.
     Corners are tested only at depth k, so a call costs O(n^2 log n),
-    not the O(n^3) of recounting every pair.  ``rows`` are the
-    left_counts rows of S in point order, when the caller has them.
+    not the O(n^3) of recounting every pair.
     """
     n = len(S)
     tri = _normalize_ccw(triangle)
@@ -242,11 +227,9 @@ def good_k_edge_count(
             raise ValueError("point %d is not strictly inside the triangle" % i)
     if not (n // 3 <= k and 2 * k <= n - 2):
         raise ValueError("k=%d outside the window [floor(n/3), n/2-1] for n=%d" % (k, n))
-    if rows is None:
-        rows = [left_counts(S, p) for p in range(n)]
     count = 0
-    for a, row in zip(S, rows):
-        for q, left in enumerate(row):
+    for p, a in enumerate(S):
+        for q, left in enumerate(left_counts(S, p)):
             if left is not None and n - 2 - left == k:
                 b = S[q]
                 if sum(cross(a.x, a.y, b.x, b.y, v.x, v.y) < 0 for v in tri) == 1:

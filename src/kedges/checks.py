@@ -7,12 +7,12 @@ empty list means the set passed every check.  Any non-empty result is
 evidence of a bug, since the inequalities hold for every point set in
 general position.
 
-The routes and their costs: one ``left_counts`` row per point, built
-once in O(n^2 log n), gives the sweep census (checked against the
-O(n^3) brute-force census), the oriented counts H, the identity
-crossing count (checked against the O(n^4) quadruple count
-``crossings_bruteforce`` and the cumulative form) and the good k-edges,
-O(n^2) per k.  The quadruple count dominates.
+The routes and their costs: the sweep census (``left_counts`` rows,
+O(n^2 log n)) against the O(n^3) brute-force census; the identity
+crossing count against the O(n^4) quadruple count
+``crossings_bruteforce`` and the cumulative form; the good k-edges
+from the ``left_counts`` rows, O(n^2 log n) per k.  The quadruple count
+dominates.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from .geometry import Point, PointSet
 from .census import (
     cumulative,
     edge_vector_bruteforce,
-    edge_vector_from_oriented_counts,
+    edge_vector_sweep,
     good_k_edge_count,
-    left_counts,
     max_depth,
-    oriented_counts_from_rows,
+    oriented_edge_counts,
 )
-from .crossings import crossings_bruteforce, crossings_from_census, exact_lcr_from_E
+from .crossings import crossings_bruteforce, crossings_via_identity, exact_lcr_from_E
 from .bounds import bound_refined, bound_simple
 
 
@@ -65,17 +64,14 @@ def verify_point_set(S: PointSet) -> List[str]:
     n = len(S)
     m = max_depth(n)
 
-    # one left_counts row per point serves the sweep census, the H
-    # check, the identity crossings and the good k-edges
-    rows = [left_counts(S, p) for p in range(n)]
-    H = oriented_counts_from_rows(rows)
-    e_sweep = edge_vector_from_oriented_counts(H)
+    e_sweep = edge_vector_sweep(S)
     e_brute = edge_vector_bruteforce(S)
     if e_sweep != e_brute:
         problems.append(
             "edge vectors disagree: sweep %r, brute force %r" % (e_sweep.e, e_brute.e)
         )
 
+    H = oriented_edge_counts(S)
     for j in range(m + 1):
         expected = e_brute.e[j]
         if n % 2 == 0 and j == m:
@@ -94,7 +90,7 @@ def verify_point_set(S: PointSet) -> List[str]:
     cr_brute = crossings_bruteforce(S).crossings
     E = cumulative(e_brute)
     for route, cr in (
-        ("identity", crossings_from_census(e_sweep)),
+        ("identity", crossings_via_identity(S).crossings),
         ("cumulative form", exact_lcr_from_E(E)),
     ):
         if cr != cr_brute:
@@ -111,7 +107,7 @@ def verify_point_set(S: PointSet) -> List[str]:
 
     tri = containing_triangle(S)
     for k in range(n // 3, (n - 2) // 2 + 1):
-        good = good_k_edge_count(S, tri, k, rows)
+        good = good_k_edge_count(S, tri, k)
         need = 3 * (k + 1) - n
         if good < need:
             problems.append(

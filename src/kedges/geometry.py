@@ -302,3 +302,8 @@ def convex_hull(S: PointSet) -> Tuple[int, ...]:
 
 def hull_size(S: PointSet) -> int:
     return len(convex_hull(S))
+
+
+def coord_bits(S: PointSet) -> int:
+    """The largest bit length of a coordinate of S."""
+    return max(max(abs(p.x).bit_length(), abs(p.y).bit_length()) for p in S)

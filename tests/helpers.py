@@ -45,11 +45,6 @@ def random_point_set(rng, n, radius=50):
             continue
 
 
-def coord_bits(S):
-    """The largest bit length of a coordinate of S."""
-    return max(max(abs(p.x).bit_length(), abs(p.y).bit_length()) for p in S)
-
-
 def convex_polygon(n, scale=1):
     """n points in convex position (on the parabola y = x^2)."""
     return PointSet(

@@ -14,6 +14,7 @@ from kedges import (
     SimultaneousEventError,
     apply_motion,
     convex_hull,
+    coord_bits,
     crossings_bruteforce,
     crossings_via_identity,
     cumulative,
@@ -30,7 +31,7 @@ from kedges import (
 )
 from kedges import motion
 from kedges.motion import _simplest_between
-from helpers import convex_polygon, coord_bits, order_type, random_point_set
+from helpers import convex_polygon, order_type, random_point_set
 
 
 def cr(S):

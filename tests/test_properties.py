@@ -9,6 +9,7 @@ from kedges import (
     PointSet,
     PointSetFormatError,
     apply_motion,
+    coord_bits,
     crossings_bruteforce,
     crossings_via_identity,
     cumulative,
@@ -20,7 +21,6 @@ from kedges import (
     parse_point_set,
     reduce_to_triangle,
 )
-from helpers import coord_bits
 
 
 def _collinear(a, b, c):
