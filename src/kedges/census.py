@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import (
     Orientation,
@@ -156,6 +156,20 @@ def left_counts(S: PointSet, p: int) -> List[Optional[int]]:
     return L
 
 
+def oriented_counts_from_rows(n: int, rows: Iterable[Sequence[Optional[int]]]) -> Tuple[int, ...]:
+    """Histogram H where H[r] counts the entries of the left_counts rows
+    of an n-point set with exactly r points on the right, n - 2 - L[j].
+    The rows may come fresh from left_counts or from a matrix the motion
+    engine advances by events.
+    """
+    H = [0] * (n - 1)
+    for row in rows:
+        for left in row:
+            if left is not None:
+                H[n - 2 - left] += 1
+    return tuple(H)
+
+
 def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     """Histogram H where H[r] counts ordered pairs (p, q) with exactly r
     points strictly to the right of the directed line p -> q: the sum
@@ -164,18 +178,13 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     n = len(S)
     if n < 3:
         raise ValueError("census needs at least 3 points")
-    H = [0] * (n - 1)
-    for p in range(n):
-        for left in left_counts(S, p):
-            if left is not None:
-                H[n - 2 - left] += 1
-    return tuple(H)
+    return oriented_counts_from_rows(n, (left_counts(S, p) for p in range(n)))
 
 
-def edge_vector_sweep(S: PointSet) -> EdgeVector:
-    """Depth histogram via the rotational sweep, O(n^2 log n)."""
-    n = len(S)
-    H = oriented_edge_counts(S)
+def edge_vector_from_oriented_counts(n: int, H: Sequence[int]) -> EdgeVector:
+    """The depth histogram of an n-point set from its oriented counts H
+    (oriented_edge_counts): an edge of depth j has j points on its right
+    in one orientation only, unless it halves an even set."""
     m = max_depth(n)
     e = [H[j] for j in range(m + 1)]
     if n % 2 == 0:
@@ -185,6 +194,11 @@ def edge_vector_sweep(S: PointSet) -> EdgeVector:
             raise RuntimeError("internal: odd ordered count at the halving level")
         e[m] //= 2
     return EdgeVector(n, tuple(e))
+
+
+def edge_vector_sweep(S: PointSet) -> EdgeVector:
+    """Depth histogram via the rotational sweep, O(n^2 log n)."""
+    return edge_vector_from_oriented_counts(len(S), oriented_edge_counts(S))
 
 
 def _normalize_ccw(tri: Sequence[Point]) -> Tuple[Point, Point, Point]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from math import atan2, gcd
+from math import atan2, gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -121,19 +121,23 @@ def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, in
 
 
 def _clear_denominators(coords) -> Tuple[Point, ...]:
-    """Scale rational coordinates to integers by one uniform positive factor."""
-    fracs = []
-    for x, y in coords:
-        fx = Fraction(x) if not isinstance(x, int) else Fraction(x, 1)
-        fy = Fraction(y) if not isinstance(y, int) else Fraction(y, 1)
-        fracs.append((fx, fy))
+    """Scale rational coordinates to integers by one uniform positive
+    factor: the least common denominator of the non-integer ones.
+    Integer coordinates are only multiplied by it."""
+    pairs = [
+        (x if isinstance(x, int) else Fraction(x), y if isinstance(y, int) else Fraction(y))
+        for x, y in coords
+    ]
     scale = 1
-    for fx, fy in fracs:
-        scale = scale * fx.denominator // gcd(scale, fx.denominator)
-        scale = scale * fy.denominator // gcd(scale, fy.denominator)
-    return tuple(
-        Point(int(fx * scale), int(fy * scale)) for fx, fy in fracs
-    )
+    for xy in pairs:
+        for v in xy:
+            if not isinstance(v, int):
+                scale = lcm(scale, v.denominator)
+
+    def scaled(v):
+        return v * scale if isinstance(v, int) else v.numerator * (scale // v.denominator)
+
+    return tuple(Point(scaled(x), scaled(y)) for x, y in pairs)
 
 
 def _integer_points(coords: Iterable) -> List[Point]:

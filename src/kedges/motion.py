@@ -23,9 +23,14 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count, islice
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from .census import EdgeVector, edge_vector_sweep, left_counts
+from .census import (
+    EdgeVector,
+    edge_vector_from_oriented_counts,
+    left_counts,
+    oriented_counts_from_rows,
+)
 from .crossings import crossings_from_census
 from .geometry import (
     GeneralPositionError,
@@ -206,10 +211,10 @@ def is_halving_ray(S: PointSet, ray: Ray) -> bool:
     )
 
 
-def _heavy_side(S: PointSet, p: int, q: int) -> Tuple[int, int]:
+def _heavy_side(S: PointSet, p: int, q: int, left: int) -> Tuple[int, int]:
     """The direction of line pq, oriented so that its left side holds
-    at least as many of the other points as its right side."""
-    left = left_counts(S, p)[q]
+    at least as many of the other points as its right side; ``left``
+    counts the points left of p -> q."""
     hx, hy = S[q].x - S[p].x, S[q].y - S[p].y
     return (hx, hy) if 2 * left >= len(S) - 2 else (-hx, -hy)
 
@@ -260,7 +265,8 @@ def halving_ray_pair(
     ip, iq = hull.index(p), hull.index(q)
     if (ip - iq) % len(hull) in (1, len(hull) - 1):
         raise ValueError("points %d and %d are consecutive on the hull" % (p, q))
-    return _ray_pair(S, hull, p, q, _heavy_side(S, p, q), attempt_p, attempt_q)
+    h = _heavy_side(S, p, q, left_counts(S, p)[q])
+    return _ray_pair(S, hull, p, q, h, attempt_p, attempt_q)
 
 
 def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[int, int, Tuple[int, int]]]:
@@ -290,7 +296,7 @@ def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[int, int, Tuple[int, 
 
 
 def _classify(
-    S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int], rows: Dict[int, list]
+    S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int], L
 ) -> MutationEvent:
     """The event at parameter t where the moving point crosses the line
     through ``pair``, decided by integer signs alone.
@@ -300,9 +306,12 @@ def _classify(
     points (that would be an earlier event), and at t that line is the
     line through ``pair``.  So k counts the points of S on the moving
     point's side of that line when it is the center, and on the other
-    side otherwise: both are read from the left_counts row of the pair's
-    first point, which ``rows`` caches per anchor for S, the set before
-    the motion.
+    side otherwise: both are read from L[i][j], the points left of the
+    directed line i -> j.  L holds left_counts rows of S, the set before
+    the motion: the reduction's matrix, advanced only after the whole
+    step (``_advance``), or the rows motion_events builds.  The moving
+    point crosses line ij only at this event, so L[i][j] still holds
+    the count just before t.
     """
     p = ray.anchor
     dx, dy = ray.direction
@@ -319,10 +328,8 @@ def _classify(
         center = i
     else:
         center = j
-    if i not in rows:
-        rows[i] = left_counts(S, i)
     n = len(S)
-    pos = rows[i][j]
+    pos = L[i][j]
     neg = n - 2 - pos
     p_pos = cross(a.x, a.y, b.x, b.y, p0.x, p0.y) > 0
     if center == p:
@@ -335,10 +342,10 @@ def _classify(
 
 
 def _sorted_events(
-    S: PointSet, ray: Ray, raw: List[Tuple[int, int, Tuple[int, int]]]
+    S: PointSet, ray: Ray, raw: List[Tuple[int, int, Tuple[int, int]]], L
 ) -> List[MutationEvent]:
-    """The events of ``raw`` (from _event_parameters) classified, in
-    increasing order of parameter.
+    """The events of ``raw`` (from _event_parameters) classified against
+    the left-count rows L of S, in increasing order of parameter.
 
     The parameters num/den are ordered exactly by the sign of
     num * den' - num' * den, with no Fraction built for the comparison;
@@ -349,8 +356,7 @@ def _sorted_events(
     for u, v in zip(raw, raw[1:]):
         if u[0] * v[1] == v[0] * u[1]:
             raise SimultaneousEventError(Fraction(u[0], u[1]), [u[2], v[2]], ray.anchor)
-    rows: Dict[int, list] = {}
-    return [_classify(S, ray, Fraction(num, den), pair, rows) for num, den, pair in raw]
+    return [_classify(S, ray, Fraction(num, den), pair, L) for num, den, pair in raw]
 
 
 def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
@@ -364,7 +370,9 @@ def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
         raise ValueError("stop must be positive")
     sn, sd = stop.numerator, stop.denominator
     raw = [ev for ev in _event_parameters(S, ray) if ev[0] * sd <= sn * ev[1]]
-    return _sorted_events(S, ray, raw)
+    # only the rows of the pairs' first points are read
+    rows = {i: left_counts(S, i) for i in {pair[0] for _, _, pair in raw}}
+    return _sorted_events(S, ray, raw, rows)
 
 
 def apply_motion(S: PointSet, p: int, ray: Ray, stop) -> PointSet:
@@ -387,12 +395,41 @@ def apply_motion(S: PointSet, p: int, ray: Ray, stop) -> PointSet:
 
 
 def config_summary(S: PointSet) -> ConfigSummary:
-    e = edge_vector_sweep(S)
-    return ConfigSummary(
-        crossings=crossings_from_census(e),
-        edge_vector=e,
-        hull_size=len(convex_hull(S)),
-    )
+    return _matrix_summary([left_counts(S, i) for i in range(len(S))], convex_hull(S))
+
+
+def _matrix_summary(L, hull: Tuple[int, ...]) -> ConfigSummary:
+    """The summary of the set with left-count matrix L and hull
+    ``hull``: its census is the row-sum histogram of L."""
+    n = len(L)
+    e = edge_vector_from_oriented_counts(n, oriented_counts_from_rows(n, L))
+    return ConfigSummary(crossings=crossings_from_census(e), edge_vector=e, hull_size=len(hull))
+
+
+def _advance(L, S: PointSet, step: MotionStep) -> list:
+    """The left-count matrix after ``step``, from L, the matrix of S,
+    the set before it (L itself is left as it is).
+
+    Each event flips the one triple (i, j, p) of the pair and the moving
+    point, so six entries move by one: with s = 1 when p was left of
+    i -> j, else -1, L[i][j], L[j][p] and L[p][i] fall by s and L[j][i],
+    L[i][p] and L[p][j] rise by s.  Rescaling keeps the order type, so
+    nothing else changes.
+    """
+    L = [row[:] for row in L]
+    p = step.moved
+    c = S[p]
+    for ev in step.events:
+        i, j = ev.pair
+        a, b = S[i], S[j]
+        s = 1 if cross(a.x, a.y, b.x, b.y, c.x, c.y) > 0 else -1
+        L[i][j] -= s
+        L[j][p] -= s
+        L[p][i] -= s
+        L[j][i] += s
+        L[i][p] += s
+        L[p][j] += s
+    return L
 
 
 _MAX_ATTEMPTS = 64
@@ -437,9 +474,9 @@ def _simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
 
 
 def _land(
-    S: PointSet, ray: Ray, h: Tuple[int, int], pair: Tuple[int, int],
+    S: PointSet, L, ray: Ray, h: Tuple[int, int], pair: Tuple[int, int],
     band: Optional[Fraction],
-) -> Tuple[PointSet, MotionStep, Fraction]:
+) -> Tuple[PointSet, list, MotionStep, Fraction]:
     """Move the ray's anchor a to just beyond the far offset across h.
 
     The far offset is the least signed offset cross(h, x - a) over the
@@ -449,9 +486,10 @@ def _land(
     t_low * (1 + band) when a band is given, so that the landing lies
     at most ``band`` times the far offset beyond it.  One
     _event_parameters pass gives t_next and the step's events, those up
-    to t_low.  Returns the moved set, the step and the landing's
-    relative depth stop / t_low - 1; a stop that breaks general position
-    raises _RoundRetry with that depth.
+    to t_low, classified against L, the left-count matrix of S.  Returns
+    the moved set, its matrix (a new one, ``_advance``), the step and
+    the landing's relative depth stop / t_low - 1; a stop that breaks
+    general position raises _RoundRetry with that depth.
     """
     a = S[ray.anchor]
     low = min(h[0] * (x.y - a.y) - h[1] * (x.x - a.x) for j, x in enumerate(S) if j not in pair)
@@ -475,37 +513,13 @@ def _land(
         hi = cap if hi is None else min(hi, cap)
     stop = _simplest_between(t_low, hi)
     depth = stop / t_low - 1
-    events = _sorted_events(S, ray, kept)
+    events = _sorted_events(S, ray, kept, L)
     try:
         moved = apply_motion(S, ray.anchor, ray, stop)
     except GeneralPositionError:
         raise _RoundRetry(depth)
-    return moved, MotionStep(ray.anchor, ray, stop, tuple(events)), depth
-
-
-def _round_once(
-    S0: PointSet, hull: Tuple[int, ...], p: int, q: int, h: Tuple[int, int],
-    attempt: Dict[int, int], band: Optional[Fraction],
-) -> Tuple[PointSet, List[MotionStep], Fraction]:
-    """One reduction round: land p, then q, just beyond the far offset
-    across h (the heavy-side direction of line pq).
-
-    ``hull`` is the hull of S0, ``attempt`` maps p and q to the
-    tail-direction attempt of their rays, and ``band`` caps the relative
-    depth of both landings (None: no cap).  Returns the moved set, the
-    two steps and the deeper landing's depth.  Raises
-    SimultaneousEventError (whose ``moving`` names the ray to nudge)
-    and _RoundRetry.
-    """
-    ray_p, ray_q = _ray_pair(S0, hull, p, q, h, attempt[p], attempt[q])
-    S1, step_p, depth = _land(S0, ray_p, h, (p, q), band)
-    # moving p never crosses the line of q's ray (the two lines meet in
-    # their tails, inside the hull), so the split is untouched; only q's
-    # extremality could degrade, in which case the band narrows
-    if not is_halving_ray(S1, ray_q):
-        raise _RoundRetry(depth)
-    S2, step_q, depth_q = _land(S1, ray_q, h, (p, q), band)
-    return S2, [step_p, step_q], max(depth, depth_q)
+    step = MotionStep(ray.anchor, ray, stop, tuple(events))
+    return moved, _advance(L, S, step), step, depth
 
 
 def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
@@ -548,36 +562,55 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     the far offset is capped at half that of the landing at fault (the
     deeper one when the guard fails), so the cap at least halves each
     time.  If a motion hits simultaneous events, that point's ray is
-    nudged.
+    nudged.  p's landing depends only on its ray and the band, so when
+    q's ray is nudged, only q lands again.
+
+    The order type is kept across moves: the left-count matrix of the
+    set (``left_counts`` rows, one per point) is built once and advanced
+    by each landing's events (``_advance``).  It classifies the events,
+    orients line pq and gives the census of ``before`` and ``after``.
     """
     steps: List[MotionStep] = []
-    before = config_summary(S)
+    L = [left_counts(S, i) for i in range(len(S))]
     hull = convex_hull(S)
+    before = _matrix_summary(L, hull)
     while len(hull) > 3:
         p, q = hull[0], hull[len(hull) // 2]
-        h = _heavy_side(S, p, q)
+        h = _heavy_side(S, p, q, L[p][q])
+        pair = (p, q)
         attempt = {p: 0, q: 0}
         band: Optional[Fraction] = None
+        landed_p = None
         for _ in range(_MAX_ATTEMPTS):
             try:
-                S2, new_steps, depth = _round_once(S, hull, p, q, h, attempt, band)
+                ray_p, ray_q = _ray_pair(S, hull, p, q, h, attempt[p], attempt[q])
+                if landed_p is None:
+                    landed_p = _land(S, L, ray_p, h, pair, band)
+                S1, L1, step_p, depth = landed_p
+                # moving p never crosses the line of q's ray (the two
+                # lines meet in their tails, inside the hull), so the
+                # split is untouched; only q's extremality could degrade
+                if not is_halving_ray(S1, ray_q):
+                    raise _RoundRetry(depth)
+                S2, L2, step_q, depth_q = _land(S1, L1, ray_q, h, pair, band)
             except SimultaneousEventError as exc:
                 attempt[exc.moving] += 1
                 continue
             except _RoundRetry as exc:
                 band = exc.depth / 2
+                landed_p = None
                 continue
             hull2 = convex_hull(S2)
             if len(hull2) >= len(hull):
-                band = depth / 2
+                band = max(depth, depth_q) / 2
+                landed_p = None
                 continue
-            S, hull = S2, hull2
-            steps.extend(new_steps)
+            S, L, hull = S2, L2, hull2
+            steps += [step_p, step_q]
             break
         else:
             raise RuntimeError("internal: hull reduction failed to make progress")
-    after = config_summary(S)
-    return S, ReductionTrace(tuple(steps), before, after)
+    return S, ReductionTrace(tuple(steps), before, _matrix_summary(L, hull))
 
 
 def halving_ray_stable(S: PointSet) -> bool:

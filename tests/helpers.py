@@ -1,15 +1,17 @@
 """Shared test utilities: seeded random configurations and slow oracles."""
 
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Tuple
 
 from kedges import (
     GeneralPositionError,
     GenerationError,
     Orientation,
+    Point,
     PointSet,
     crossings_bruteforce,
     max_depth,
@@ -26,6 +28,24 @@ def bound_refined_sum(n, k):
     if not (0 <= k < max_depth(n)):
         raise ValueError("k=%d out of range for n=%d" % (k, n))
     return 3 * comb(k + 2, 2) + sum(3 * j - n + 3 for j in range(n // 3, k + 1))
+
+
+def clear_denominators_by_fractions(coords):
+    """Oracle for geometry._clear_denominators: every coordinate made a
+    Fraction, the scale the least common multiple of all denominators,
+    each point the product as an int."""
+    fracs = []
+    for x, y in coords:
+        fx = Fraction(x) if not isinstance(x, int) else Fraction(x, 1)
+        fy = Fraction(y) if not isinstance(y, int) else Fraction(y, 1)
+        fracs.append((fx, fy))
+    scale = 1
+    for fx, fy in fracs:
+        scale = scale * fx.denominator // gcd(scale, fx.denominator)
+        scale = scale * fy.denominator // gcd(scale, fy.denominator)
+    return tuple(
+        Point(int(fx * scale), int(fy * scale)) for fx, fy in fracs
+    )
 
 
 def random_point_set(rng, n, radius=50):

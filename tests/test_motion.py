@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from kedges import (
     GeneralPositionError,
@@ -13,6 +14,7 @@ from kedges import (
     Ray,
     SimultaneousEventError,
     apply_motion,
+    config_summary,
     convex_hull,
     coord_bits,
     crossings_bruteforce,
@@ -29,7 +31,8 @@ from kedges import (
     orientation,
     reduce_to_triangle,
 )
-from kedges import motion
+from kedges import census, motion
+from kedges.census import left_counts
 from kedges.motion import _simplest_between
 from helpers import convex_polygon, order_type, random_point_set
 
@@ -421,13 +424,13 @@ def test_reduce_narrows_the_band_after_a_retry(monkeypatch, refused):
     lands = []
     real_land = motion._land
 
-    def land(S, ray, h, pair, band):
+    def land(S, L, ray, h, pair, band):
         try:
-            out = real_land(S, ray, h, pair, band)
+            out = real_land(S, L, ray, h, pair, band)
         except motion._RoundRetry as exc:
             lands.append((band, exc.depth))
             raise
-        lands.append((band, out[2]))
+        lands.append((band, out[3]))
         return out
 
     real = getattr(motion, refused)
@@ -584,6 +587,90 @@ def test_reduce_nudges_the_ray_that_hit_simultaneous_events():
                 assert halving_ray_pair(R, p, q)[nudged] != pair[nudged]
             R = apply_motion(R, st.moved, st.ray, st.stop)
         assert R == T
+
+
+def test_reduce_lands_p_once_when_q_is_nudged(monkeypatch):
+    # in A, q's first ray of round 0 hits simultaneous events: p's
+    # landing is kept and only q lands again, on its nudged ray
+    pts, expected_steps, _, (nudged_round, nudged) = NUDGE_CASES[0]
+    assert (nudged_round, nudged) == (0, 1)
+    S = PointSet(pts)
+    hull = convex_hull(S)
+    p, q = hull[0], hull[len(hull) // 2]
+    anchors = []
+    real_land = motion._land
+
+    def land(S, L, ray, h, pair, band):
+        anchors.append(ray.anchor)
+        return real_land(S, L, ray, h, pair, band)
+
+    monkeypatch.setattr(motion, "_land", land)
+    T, trace = reduce_to_triangle(S)
+    assert anchors[:3] == [p, q, q]
+    assert anchors[3] == trace.steps[2].moved
+    assert [(st.moved, st.ray.direction) for st in trace.steps] == expected_steps
+
+
+def fresh_rows(S):
+    return [left_counts(S, i) for i in range(len(S))]
+
+
+def assert_matrix_follows_trace(S, T, trace):
+    """Replay the trace, advancing the left-count matrix by each step's
+    events with the library's helper; after every step it must equal
+    freshly built rows of the moved set."""
+    assert trace.before == config_summary(S)
+    L = fresh_rows(S)
+    for st in trace.steps:
+        L = motion._advance(L, S, st)
+        S = apply_motion(S, st.moved, st.ray, st.stop)
+        assert L == fresh_rows(S)
+    assert S == T
+    assert trace.after == config_summary(T)
+
+
+def test_left_count_matrix_follows_every_step():
+    for n, seed in [(8, 0), (15, 1), (30, 2), (60, 3)]:
+        S = generate(GeneratorSpec("random-disc", n, seed))
+        assert_matrix_follows_trace(S, *reduce_to_triangle(S))
+    for n in (5, 8, 13, 24):
+        S = generate(GeneratorSpec("convex", n))
+        assert_matrix_follows_trace(S, *reduce_to_triangle(S))
+    for pts, *_ in NUDGE_CASES:
+        S = PointSet(pts)
+        assert_matrix_follows_trace(S, *reduce_to_triangle(S))
+
+
+small_disc_sets = strategies.builds(
+    lambda n, seed, radius: generate(GeneratorSpec("random-disc", n, seed, scale=radius)),
+    strategies.integers(4, 14),
+    strategies.integers(0, 2 ** 32),
+    strategies.integers(16, 2 ** 20),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(small_disc_sets)
+def test_left_count_matrix_follows_every_step_generated(S):
+    assert_matrix_follows_trace(S, *reduce_to_triangle(S))
+
+
+def test_reduce_builds_each_left_count_row_once(monkeypatch):
+    # the census module is patched too, so a sweep behind the summaries
+    # would be counted
+    calls = []
+
+    def counted(S, p):
+        calls.append(p)
+        return left_counts(S, p)
+
+    monkeypatch.setattr(motion, "left_counts", counted)
+    monkeypatch.setattr(census, "left_counts", counted)
+    for S in (convex_polygon(12), generate(GeneratorSpec("random-disc", 40, 1)), PointSet(NUDGE_CASES[0][0])):
+        calls.clear()
+        T, trace = reduce_to_triangle(S)
+        assert len(trace.steps) >= 2
+        assert sorted(calls) == list(range(len(S)))
 
 
 # ------------------------------------------------------- stability

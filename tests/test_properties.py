@@ -21,6 +21,8 @@ from kedges import (
     parse_point_set,
     reduce_to_triangle,
 )
+from kedges.geometry import _clear_denominators
+from helpers import clear_denominators_by_fractions
 
 
 def _collinear(a, b, c):
@@ -206,3 +208,14 @@ def test_parse_point_set_raises_only_format_errors(text):
     except PointSetFormatError:
         return
     assert isinstance(S, PointSet)
+
+
+coordinates = st.integers(-(2 ** 70), 2 ** 70) | st.fractions(max_denominator=2 ** 40)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=12))
+def test_clear_denominators_scales_like_fractions(coords):
+    # the scale comes from the non-integer coordinates alone; the oracle
+    # makes every coordinate a Fraction and must give the same points
+    assert _clear_denominators(coords) == clear_denominators_by_fractions(coords)
