@@ -343,7 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except (GenerationError, CensusError) as exc:

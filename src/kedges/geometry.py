@@ -282,26 +282,22 @@ def convex_hull(S: PointSet) -> Tuple[int, ...]:
     n = len(S)
     if n < 3:
         raise ValueError("hull needs at least 3 points")
-    idx = sorted(range(n), key=lambda i: (S[i].x, S[i].y))
-    lower = []
-    for i in idx:
-        while len(lower) >= 2 and cross(
-            S[lower[-2]].x, S[lower[-2]].y,
-            S[lower[-1]].x, S[lower[-1]].y,
-            S[i].x, S[i].y,
-        ) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(idx):
-        while len(upper) >= 2 and cross(
-            S[upper[-2]].x, S[upper[-2]].y,
-            S[upper[-1]].x, S[upper[-1]].y,
-            S[i].x, S[i].y,
-        ) <= 0:
-            upper.pop()
-        upper.append(i)
-    return tuple(lower[:-1] + upper[:-1])
+    xy = [(q.x, q.y) for q in S]
+    idx = sorted(range(n), key=xy.__getitem__)
+    chains = []
+    for order in (idx, idx[::-1]):
+        chain = []
+        for i in order:
+            x, y = xy[i]
+            while len(chain) >= 2:
+                ax, ay = xy[chain[-2]]
+                bx, by = xy[chain[-1]]
+                if cross(ax, ay, bx, by, x, y) > 0:
+                    break
+                chain.pop()
+            chain.append(i)
+        chains.append(chain[:-1])
+    return tuple(chains[0] + chains[1])
 
 
 def hull_size(S: PointSet) -> int:

@@ -223,20 +223,25 @@ def _line_intersection_inside_hull(
     S: PointSet, hull: Tuple[int, ...], rp: Ray, rq: Ray
 ) -> bool:
     """Whether the supporting lines of the two rays meet strictly
-    inside the convex hull ``hull`` of S."""
+    inside the convex hull ``hull`` of S.
+
+    The lines meet at z = p + (num/den)*dp.  With den > 0, den*z is an
+    integer point and each hull edge ab is tested by the sign of
+    den * cross(a, b, z), in integers.
+    """
     p, q = S[rp.anchor], S[rq.anchor]
     dp, dq = rp.direction, rq.direction
-    denom = dp[0] * dq[1] - dp[1] * dq[0]
-    if denom == 0:
+    den = dp[0] * dq[1] - dp[1] * dq[0]
+    if den == 0:
         return False
-    # solve p + s*dp = q + t*dq
-    s = Fraction((q.x - p.x) * dq[1] - (q.y - p.y) * dq[0], denom)
-    zx = p.x + s * dp[0]
-    zy = p.y + s * dp[1]
-    for i in range(len(hull)):
-        a = S[hull[i]]
-        b = S[hull[(i + 1) % len(hull)]]
-        if cross(a.x, a.y, b.x, b.y, zx, zy) <= 0:
+    num = (q.x - p.x) * dq[1] - (q.y - p.y) * dq[0]
+    if den < 0:
+        num, den = -num, -den
+    zx = den * p.x + num * dp[0]
+    zy = den * p.y + num * dp[1]
+    xy = [(S[i].x, S[i].y) for i in hull]
+    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+        if (bx - ax) * (zy - den * ay) - (by - ay) * (zx - den * ax) <= 0:
             return False
     return True
 
@@ -265,30 +270,33 @@ def halving_ray_pair(
     ip, iq = hull.index(p), hull.index(q)
     if (ip - iq) % len(hull) in (1, len(hull) - 1):
         raise ValueError("points %d and %d are consecutive on the hull" % (p, q))
-    h = _heavy_side(S, p, q, left_counts(S, p)[q])
+    a, b = S[p], S[q]
+    h = _heavy_side(S, p, q, sum(1 for c in S if cross(a.x, a.y, b.x, b.y, c.x, c.y) > 0))
     return _ray_pair(S, hull, p, q, h, attempt_p, attempt_q)
 
 
 def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[int, int, Tuple[int, int]]]:
     """All positive parameters num/den (den > 0) where the moving point
-    crosses a line through two other points, with the pair, unsorted."""
+    crosses a line through two other points, with the pair, unsorted.
+
+    With a = x_i - p0 and b = x_j - p0, p0 + t*d is on line ij when
+    cross(a - t*d, b - t*d) = 0, at t = -A/B with A = cross(a, b) and
+    B = cross(b - a, d).  Each point's offset across the ray line,
+    w_i = cross(a, d), is taken once, and B = w_j - w_i, so only A needs
+    products per pair.  B = 0 (line ij parallel to the ray): no event.
+    """
     p = ray.anchor
-    p0 = S[p]
     dx, dy = ray.direction
+    ox, oy = S[p].x, S[p].y
+    rel = [(i, q.x - ox, q.y - oy) for i, q in enumerate(S) if i != p]
+    rel = [(i, ax, ay, ax * dy - ay * dx) for i, ax, ay in rel]
     out = []
-    n = len(S)
-    for i in range(n):
-        if i == p:
-            continue
-        ax, ay = S[i].x - p0.x, S[i].y - p0.y
-        for j in range(i + 1, n):
-            if j == p:
-                continue
-            bx, by = S[j].x - p0.x, S[j].y - p0.y
-            A = ax * by - ay * bx
-            B = (bx - ax) * dy - (by - ay) * dx
+    for k, (i, ax, ay, wi) in enumerate(rel):
+        for j, bx, by, wj in rel[k + 1:]:
+            B = wj - wi
             if B == 0:
                 continue
+            A = ax * by - ay * bx
             if (A > 0) == (B > 0):
                 continue
             out.append((-A, B, (i, j)) if B > 0 else (A, -B, (i, j)))
@@ -381,17 +389,19 @@ def apply_motion(S: PointSet, p: int, ray: Ray, stop) -> PointSet:
     The moved coordinates are rational; the whole set is rescaled by
     their least common denominator, one positive integer, which
     preserves the order type.  For a primitive direction that factor is
-    the stop's denominator, so an integer stop rescales nothing.  A stop
-    landing on an event raises the general-position error.
+    the stop's denominator.  An integer stop (most reduction landings)
+    is applied as an int, so ``PointSet.replace`` keeps the other points
+    and rescales nothing.  A stop landing on an event raises the
+    general-position error.
     """
     if ray.anchor != p:
         raise ValueError("ray is anchored at %d, not %d" % (ray.anchor, p))
     stop = Fraction(stop)
     if stop <= 0:
         raise ValueError("stop must be positive")
-    nx = S[p].x + stop * ray.direction[0]
-    ny = S[p].y + stop * ray.direction[1]
-    return S.replace(p, (nx, ny))
+    o, (dx, dy) = S[p], ray.direction
+    s = stop.numerator if stop.denominator == 1 else stop
+    return S.replace(p, (o.x + s * dx, o.y + s * dy))
 
 
 def config_summary(S: PointSet) -> ConfigSummary:
@@ -491,8 +501,8 @@ def _land(
     the landing's relative depth stop / t_low - 1; a stop that breaks
     general position raises _RoundRetry with that depth.
     """
-    a = S[ray.anchor]
-    low = min(h[0] * (x.y - a.y) - h[1] * (x.x - a.x) for j, x in enumerate(S) if j not in pair)
+    ax, ay = S[ray.anchor].x, S[ray.anchor].y
+    low = min(h[0] * (x.y - ay) - h[1] * (x.x - ax) for j, x in enumerate(S) if j not in pair)
     dx, dy = ray.direction
     rate = h[0] * dy - h[1] * dx
     if rate >= 0 or low >= 0:
@@ -553,17 +563,17 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     neither ray line) and becomes interior.  The new hull vertices are
     thus p', q' and old ones other than p, q and every such c; at least
     one c exists, so the hull shrinks, whether or not p' and q' share a
-    line parallel to pq.  The check ``len(hull2) < len(hull)`` stays as
-    a guard.
+    line parallel to pq.  A round whose hull does not shrink therefore
+    contradicts this argument and raises RuntimeError as an internal
+    error; it is not retried.
 
     If p's landing makes q's ray stop being a halving ray (q is no
-    longer extreme), a landing breaks general position, or the guard
-    fails, the band narrows: the relative depth of the landings beyond
-    the far offset is capped at half that of the landing at fault (the
-    deeper one when the guard fails), so the cap at least halves each
-    time.  If a motion hits simultaneous events, that point's ray is
-    nudged.  p's landing depends only on its ray and the band, so when
-    q's ray is nudged, only q lands again.
+    longer extreme) or a landing breaks general position, the band
+    narrows: the relative depth of the landings beyond the far offset
+    is capped at half that of the landing at fault, so the cap at least
+    halves each time.  If a motion hits simultaneous events, that
+    point's ray is nudged.  p's landing depends only on its ray and the
+    band, so when q's ray is nudged, only q lands again.
 
     The order type is kept across moves: the left-count matrix of the
     set (``left_counts`` rows, one per point) is built once and advanced
@@ -592,7 +602,7 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
                 # split is untouched; only q's extremality could degrade
                 if not is_halving_ray(S1, ray_q):
                     raise _RoundRetry(depth)
-                S2, L2, step_q, depth_q = _land(S1, L1, ray_q, h, pair, band)
+                S2, L2, step_q, _ = _land(S1, L1, ray_q, h, pair, band)
             except SimultaneousEventError as exc:
                 attempt[exc.moving] += 1
                 continue
@@ -602,9 +612,7 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
                 continue
             hull2 = convex_hull(S2)
             if len(hull2) >= len(hull):
-                band = max(depth, depth_q) / 2
-                landed_p = None
-                continue
+                raise RuntimeError("internal: the hull did not shrink in a round")
             S, L, hull = S2, L2, hull2
             steps += [step_p, step_q]
             break

@@ -13,6 +13,7 @@ from kedges import (
     Orientation,
     Point,
     PointSet,
+    cross,
     crossings_bruteforce,
     max_depth,
     orientation,
@@ -133,6 +134,75 @@ def window_left_counts(S, p):
             k += 1
         L[j] = k - i - 1
     return L
+
+
+def pairwise_event_parameters(S, ray):
+    """Oracle for motion._event_parameters: each pair's A = cross(a, b)
+    and B = cross(b - a, d) computed from the points' coordinates, with
+    no per-point offsets."""
+    p = ray.anchor
+    p0 = S[p]
+    dx, dy = ray.direction
+    out = []
+    n = len(S)
+    for i in range(n):
+        if i == p:
+            continue
+        ax, ay = S[i].x - p0.x, S[i].y - p0.y
+        for j in range(i + 1, n):
+            if j == p:
+                continue
+            bx, by = S[j].x - p0.x, S[j].y - p0.y
+            A = ax * by - ay * bx
+            B = (bx - ax) * dy - (by - ay) * dx
+            if B == 0:
+                continue
+            if (A > 0) == (B > 0):
+                continue
+            out.append((-A, B, (i, j)) if B > 0 else (A, -B, (i, j)))
+    return out
+
+
+def indexed_convex_hull(S):
+    """Oracle for convex_hull: the monotone chain indexing S and reading
+    Point attributes at every step."""
+    n = len(S)
+    idx = sorted(range(n), key=lambda i: (S[i].x, S[i].y))
+    lower = []
+    for i in idx:
+        while len(lower) >= 2 and cross(
+            S[lower[-2]].x, S[lower[-2]].y, S[lower[-1]].x, S[lower[-1]].y, S[i].x, S[i].y
+        ) <= 0:
+            lower.pop()
+        lower.append(i)
+    upper = []
+    for i in reversed(idx):
+        while len(upper) >= 2 and cross(
+            S[upper[-2]].x, S[upper[-2]].y, S[upper[-1]].x, S[upper[-1]].y, S[i].x, S[i].y
+        ) <= 0:
+            upper.pop()
+        upper.append(i)
+    return tuple(lower[:-1] + upper[:-1])
+
+
+def fraction_line_intersection_inside_hull(S, hull, rp, rq):
+    """Oracle for motion._line_intersection_inside_hull: the meeting
+    point z of the two ray lines built as a Fraction point and tested
+    against every hull edge."""
+    p, q = S[rp.anchor], S[rq.anchor]
+    dp, dq = rp.direction, rq.direction
+    denom = dp[0] * dq[1] - dp[1] * dq[0]
+    if denom == 0:
+        return False
+    s = Fraction((q.x - p.x) * dq[1] - (q.y - p.y) * dq[0], denom)
+    zx = p.x + s * dp[0]
+    zy = p.y + s * dp[1]
+    for i in range(len(hull)):
+        a = S[hull[i]]
+        b = S[hull[(i + 1) % len(hull)]]
+        if cross(a.x, a.y, b.x, b.y, zx, zy) <= 0:
+            return False
+    return True
 
 
 def orientation_is_convex_quadrilateral(a, b, c, d):

@@ -6,9 +6,12 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kedges import PointSet, format_point_set, load_point_set, save_point_set
 from kedges.cli import main
+from kedges.generators import KINDS
 from helpers import convex_polygon, random_point_set
 
 
@@ -225,3 +228,73 @@ def test_cross_check_outputs_are_pinned(capsys, tmp_path):
     for argv, out in expected.items():
         code, got, _ = run(capsys, list(argv))
         assert (code, got) == (0, out), argv
+
+
+# ------------------------------------------------------------- fuzz
+
+_COMMANDS = ("census", "crossings", "bounds", "reduce", "generate", "verify", "epsilon")
+_junk = st.sampled_from(["", "-", "--", "x", "1e3", "0x10", "nan", "inf", "-0", "#", "\u0661"])
+# at most 200: bound_table builds about n/2 rows and has no upper limit
+_small_int = st.integers(-5, 200).map(str)
+
+
+@st.composite
+def _mostly(draw, good, bad):
+    """A draw from ``good`` about three times in four, else from ``bad``."""
+    return draw(good if draw(st.integers(0, 3)) < 3 else bad)
+
+
+@st.composite
+def _point_file_text(draw):
+    """At most 12 lines: a count (mostly the right one), then rows of two
+    integers of up to 200 bits: three or more distinct ones, or any
+    number mixed with junk rows."""
+    big = st.integers(-(2 ** 200), 2 ** 200).map(str)
+    pair = st.tuples(big, big).map(" ".join)
+    junk_row = st.lists(big | _junk | st.just("9" * 400), max_size=3).map(" ".join)
+    rows = draw(st.lists(pair, min_size=3, max_size=11, unique=True) | st.lists(pair | junk_row, max_size=11))
+    return "\n".join([draw(_mostly(st.just(str(len(rows))), _small_int | _junk))] + rows) + "\n"
+
+
+@st.composite
+def _argv(draw):
+    """An argv for one of the seven subcommands, mostly well formed;
+    FILE stands for the point file and OUT for a writable path."""
+    command = draw(st.sampled_from(_COMMANDS))
+    fmt = draw(_mostly(st.just([]), st.sampled_from([["--json"], ["--csv"], ["--json", "--csv"]])))
+    if command in ("census", "crossings", "reduce", "verify"):
+        argv = [command, draw(_mostly(st.just("FILE"), st.sampled_from(["OUT", "FILE/x"])))]
+        if command == "crossings":
+            argv += draw(st.sampled_from([[], ["--method", "brute"], ["--method", "both"], ["--method", "x"]]))
+        if command == "reduce":
+            argv += draw(st.sampled_from([[], ["--trace", "OUT"], ["--out", "OUT"], ["--out", "FILE/x"]]))
+        if command != "verify":
+            argv += fmt
+    elif command == "bounds":
+        argv = ["bounds", "--n", draw(_mostly(_small_int, _junk))] + fmt
+    elif command == "generate":
+        # n and the radius stay small: grid search lists every cell of its
+        # grid, and random-disc retries up to 200,000 draws
+        argv = ["generate", "--kind", draw(_mostly(st.sampled_from(KINDS), _junk))]
+        argv += ["--n", draw(_mostly(st.integers(-2, 14).map(str), _junk))]
+        argv += draw(st.sampled_from([[], ["--out", "OUT"]]))
+        argv += ["--seed", draw(_mostly(st.integers(-1, 2 ** 64).map(str), _junk))]
+        argv += ["--scale", draw(_mostly(st.integers(-1, 6).map(str), _junk))]
+    else:
+        t0 = _mostly(st.floats(0, 0.5), st.floats()).map(repr) | _junk
+        argv = ["epsilon", "--t0", draw(t0)] + fmt
+    return argv + draw(_mostly(st.just([]), _junk.map(lambda token: [token])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(text=_point_file_text(), argv=_argv())
+def test_main_returns_an_exit_code_on_fuzzed_input(fuzz_dir, text, argv):
+    points, out = fuzz_dir / "points.txt", fuzz_dir / "out.txt"
+    points.write_text(text, encoding="utf-8")
+    argv = [a.replace("FILE", str(points)).replace("OUT", str(out)) for a in argv]
+    assert main(argv) in (0, 1, 2)

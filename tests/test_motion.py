@@ -34,7 +34,14 @@ from kedges import (
 from kedges import census, motion
 from kedges.census import left_counts
 from kedges.motion import _simplest_between
-from helpers import convex_polygon, order_type, random_point_set
+from helpers import (
+    convex_polygon,
+    fraction_line_intersection_inside_hull,
+    indexed_convex_hull,
+    order_type,
+    pairwise_event_parameters,
+    random_point_set,
+)
 
 
 def cr(S):
@@ -671,6 +678,55 @@ def test_reduce_builds_each_left_count_row_once(monkeypatch):
         T, trace = reduce_to_triangle(S)
         assert len(trace.steps) >= 2
         assert sorted(calls) == list(range(len(S)))
+
+
+# ---------------------------------------------- kernels and oracles
+
+
+@strategies.composite
+def kernel_sets(draw):
+    """A random-disc set of 4 to 30 points with a radius of 16 to 2^200."""
+    n = draw(strategies.integers(4, 30))
+    e = draw(strategies.integers(5, 200))
+    radius = draw(strategies.integers(2 ** (e - 1), 2 ** e))
+    return generate(GeneratorSpec("random-disc", n, draw(strategies.integers(0, 2 ** 32)), scale=radius))
+
+
+def _any_ray(data, S):
+    """A ray from any point of S in an arbitrary primitive direction."""
+    k = data.draw(strategies.integers(0, len(S) - 1))
+    d = strategies.integers(-(2 ** 64), 2 ** 64)
+    dx, dy = data.draw(strategies.tuples(d, d).filter(lambda v: v != (0, 0)))
+    return Ray(k, motion._primitive(dx, dy))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(strategies.data(), kernel_sets())
+def test_event_parameters_match_the_pairwise_oracle(data, S):
+    rays = [halving_ray(S, p, data.draw(strategies.integers(0, 3))) for p in convex_hull(S)]
+    rays.append(_any_ray(data, S))
+    # a ray parallel to line ij: the pair has B == 0 and no event
+    k, i, j = data.draw(strategies.permutations(range(len(S))))[:3]
+    parallel = Ray(k, motion._primitive(S[j].x - S[i].x, S[j].y - S[i].y))
+    got = motion._event_parameters(S, parallel)
+    assert (min(i, j), max(i, j)) not in [pair for _, _, pair in got]
+    assert sorted(got) == sorted(pairwise_event_parameters(S, parallel))
+    for ray in rays:
+        assert sorted(motion._event_parameters(S, ray)) == sorted(pairwise_event_parameters(S, ray))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(strategies.data(), kernel_sets())
+def test_hull_and_ray_line_meeting_match_their_oracles(data, S):
+    hull = convex_hull(S)
+    assert hull == indexed_convex_hull(S)
+    rp, rq = _any_ray(data, S), _any_ray(data, S)
+    cases = [(rp, rq), (rp, Ray(rq.anchor, rp.direction))]
+    if len(hull) >= 4:
+        cases.append(halving_ray_pair(S, hull[0], hull[len(hull) // 2]))
+    for ra, rb in cases:
+        got = motion._line_intersection_inside_hull(S, hull, ra, rb)
+        assert got == fraction_line_intersection_inside_hull(S, hull, ra, rb)
 
 
 # ------------------------------------------------------- stability
