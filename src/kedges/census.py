@@ -5,14 +5,15 @@ points lie strictly on its smaller side.  The census collects the
 counts e_0..e_m with m = floor((n-2)/2); their prefix sums are the
 cumulative counts E_0..E_m.  Two independent routes are provided: a
 quadratic-per-point brute force and an O(n^2 log n) count by rank over
-one exact sort of the lines through each point (``left_counts``).
+one exact sort of the lines through each point (``line_order``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     Orientation,
@@ -137,48 +138,46 @@ def left_counts(S: PointSet, p: int) -> List[Optional[int]]:
     before j (their true angles are a half turn more); otherwise the up
     entries before j and the other entries after j.  A tie would be a
     collinear triple, which line_order rejects.  So with U up entries
-    and D others, the u-th up entry, with d others before it, has
-    L = U - u + d, and the d-th other entry, with u up entries before
-    it, has L = D - d + u.
+    and D others, and t the up entries minus the other entries up to
+    and including j in line order, L[j] = U - t when j is up and
+    L[j] = D + t otherwise.
     """
     order = line_order(S, p)
-    U = sum(v[3] for v in order)
+    U = sum(v[4] for v in order)
     D = len(order) - U
     L: List[Optional[int]] = [None] * len(S)
-    u = d = 0
-    for _, _, j, up in order:
+    t = 0
+    for _, _, _, j, up in order:
         if up:
-            u += 1
-            L[j] = U - u + d
+            t += 1
+            L[j] = U - t
         else:
-            d += 1
-            L[j] = D - d + u
+            t -= 1
+            L[j] = D + t
     return L
-
-
-def oriented_counts_from_rows(n: int, rows: Iterable[Sequence[Optional[int]]]) -> Tuple[int, ...]:
-    """Histogram H where H[r] counts the entries of the left_counts rows
-    of an n-point set with exactly r points on the right, n - 2 - L[j].
-    The rows may come fresh from left_counts or from a matrix the motion
-    engine advances by events.
-    """
-    H = [0] * (n - 1)
-    for row in rows:
-        for left in row:
-            if left is not None:
-                H[n - 2 - left] += 1
-    return tuple(H)
 
 
 def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     """Histogram H where H[r] counts ordered pairs (p, q) with exactly r
-    points strictly to the right of the directed line p -> q: the sum
-    over every point p of its left_counts row, O(n^2 log n).
-    """
+    points strictly to the right of the directed line p -> q, O(n^2 log n):
+    by the rule of left_counts, an up entry of line_order(S, p) has
+    n - 2 - (U - t) points on its right and any other entry U - 1 - t."""
     n = len(S)
     if n < 3:
         raise ValueError("census needs at least 3 points")
-    return oriented_counts_from_rows(n, (left_counts(S, p) for p in range(n)))
+    H = [0] * (n - 1)
+    for p in range(n):
+        ups = list(map(itemgetter(4), line_order(S, p)))
+        U = sum(ups)
+        t = 0
+        for up in ups:
+            if up:
+                t += 1
+                H[n - 2 - U + t] += 1
+            else:
+                t -= 1
+                H[U - 1 - t] += 1
+    return tuple(H)
 
 
 def edge_vector_from_oriented_counts(n: int, H: Sequence[int]) -> EdgeVector:

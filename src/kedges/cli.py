@@ -4,7 +4,7 @@ Subcommands:
 
 * ``census FILE``      edge vector, cumulative counts, halving count
 * ``crossings FILE``   crossing number (brute force, identity, or both)
-* ``bounds --n N``     lower-bound table plus derived bounds for N points
+* ``bounds --n N``     lower-bound table plus derived bounds for N <= 100000 points
 * ``reduce FILE``      hull reduction to a triangle, optional JSON trace
 * ``generate``         deterministic point-set generators
 * ``epsilon --t0 T``   asymptotic gain integral
@@ -43,6 +43,8 @@ from .motion import ReductionTrace, reduce_to_triangle
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+# bound_table builds about n / 2 rows: 0.13 s and 31 MB at this n
+BOUNDS_MAX_N = 100000
 
 
 class _OutputError(Exception):
@@ -129,6 +131,8 @@ def _cmd_crossings(args) -> int:
 
 def _cmd_bounds(args) -> int:
     n = args.n
+    if n > BOUNDS_MAX_N:
+        raise ValueError("--n exceeds %d" % BOUNDS_MAX_N)
     table = bound_table(n)
     lower = crossing_lower_bound_exact(n)
     halving = halving_upper_bound(n) if n >= 5 else None
@@ -307,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_crossings)
 
     p = sub.add_parser("bounds", help="lower-bound table for n points")
-    p.add_argument("--n", type=int, required=True, help="number of points (>= 4)")
+    p.add_argument("--n", type=int, required=True, help="number of points (4 to %d)" % BOUNDS_MAX_N)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_bounds)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import atan2, gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -214,40 +215,51 @@ class PointSet:
         return moved
 
 
-def line_order(S: PointSet, p: int) -> List[Tuple[int, int, int, bool]]:
+def line_order(S: PointSet, p: int) -> List[Tuple[float, int, int, int, bool]]:
     """The lines from point p to every other point j, as tuples
-    (cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
+    (hint, cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
 
     (cx, cy) is p -> j when that points into [0, pi) (``up``), and its
     negation otherwise; on [0, pi) the sign of cx*cy' - cy*cx' is a
-    strict total order.  A float atan2 key presorts the vectors, as a
-    hint only (vectors too long for a float are shifted right by one
-    common amount), and one insertion pass settles every adjacent pair
-    by that integer sign, in O(n) when the hint is right.  A zero sign
-    means p is on a line with two points, perhaps between them; it
-    raises GeneralPositionError with the sorted triple.
+    strict total order.  The float ``hint``, atan2 of (cx, cy) (shifted
+    right by one common amount if too long for a float), presorts the
+    list.  One pass then checks the integer sign of each adjacent pair;
+    only if some sign is not positive does an insertion pass settle the
+    list by those signs.  A zero sign means p is on a line with two
+    points, perhaps between them: GeneralPositionError, sorted triple.
     """
-    o = S[p]
-    vs = []
-    for j, q in enumerate(S):
-        if j != p:
-            cx, cy = q.x - o.x, q.y - o.y
-            if cy > 0 or (cy == 0 and cx > 0):
-                vs.append((cx, cy, j, True))
-            else:
-                vs.append((-cx, -cy, j, False))
-    try:
-        hints = [atan2(cy, cx) for cx, cy, _, _ in vs]
-    except OverflowError:
-        s = max(max(abs(v[0]), abs(v[1])).bit_length() for v in vs) - 1000
-        hints = [atan2(cy >> s, cx >> s) for cx, cy, _, _ in vs]
-    vs = [vs[i] for i in sorted(range(len(vs)), key=hints.__getitem__)]
+    ox, oy = S[p]
+    hint = atan2
+    while True:  # at most twice: shifted vectors fit a float
+        vs = []
+        try:
+            for j, q in enumerate(S):
+                if j != p:
+                    cx, cy = q.x - ox, q.y - oy
+                    if cy > 0 or (cy == 0 and cx > 0):
+                        vs.append((hint(cy, cx), cx, cy, j, True))
+                    else:
+                        vs.append((hint(-cy, -cx), -cx, -cy, j, False))
+            break
+        except OverflowError:
+            s = max(max(abs(q.x - ox), abs(q.y - oy)).bit_length() for q in S) - 1000
+            hint = lambda y, x: atan2(y >> s, x >> s)
+    vs.sort(key=itemgetter(0))
+    for (_, ux, uy, _, _), (_, vx, vy, _, _) in zip(vs, vs[1:]):
+        if ux * vy - uy * vx <= 0:
+            _settle(vs, p)
+            break
+    return vs
+
+
+def _settle(vs: List[Tuple[float, int, int, int, bool]], p: int) -> None:
+    """Sort presorted line_order(S, p) entries in place by integer signs."""
     for i in range(1, len(vs)):
         v = vs[i]
-        vx, vy, vj, _ = v
+        _, vx, vy, vj, _ = v
         k = i
         while k > 0:
-            ux, uy, uj, _ = vs[k - 1]
+            _, ux, uy, uj, _ = vs[k - 1]
             c = ux * vy - uy * vx
             if c > 0:
                 break
@@ -256,7 +268,6 @@ def line_order(S: PointSet, p: int) -> List[Tuple[int, int, int, bool]]:
             vs[k] = vs[k - 1]
             k -= 1
         vs[k] = v
-    return vs
 
 
 def angular_order(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
@@ -269,7 +280,7 @@ def angular_order(S: PointSet, p: int) -> List[Tuple[int, int, int]]:
     integer sign.
     """
     vs = line_order(S, p)
-    return [v[:3] for v in vs if v[3]] + [(-cx, -cy, j) for cx, cy, j, up in vs if not up]
+    return [v[1:4] for v in vs if v[4]] + [(-cx, -cy, j) for _, cx, cy, j, up in vs if not up]
 
 
 def convex_hull(S: PointSet) -> Tuple[int, ...]:

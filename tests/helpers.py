@@ -4,17 +4,21 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import comb, gcd
+from math import atan2, comb, gcd
 from typing import Tuple
+
+from hypothesis import reject, strategies
 
 from kedges import (
     GeneralPositionError,
     GenerationError,
+    GeneratorSpec,
     Orientation,
     Point,
     PointSet,
     cross,
     crossings_bruteforce,
+    generate,
     max_depth,
     orientation,
     strictly_inside_triangle,
@@ -134,6 +138,73 @@ def window_left_counts(S, p):
             k += 1
         L[j] = k - i - 1
     return L
+
+
+def insertion_line_order(S, p):
+    """Oracle for line_order, its entries without the hint: the float
+    atan2 presort, then an insertion pass by integer signs that always
+    runs."""
+    o = S[p]
+    vs = []
+    for j, q in enumerate(S):
+        if j != p:
+            cx, cy = q.x - o.x, q.y - o.y
+            if cy > 0 or (cy == 0 and cx > 0):
+                vs.append((cx, cy, j, True))
+            else:
+                vs.append((-cx, -cy, j, False))
+    try:
+        hints = [atan2(cy, cx) for cx, cy, _, _ in vs]
+    except OverflowError:
+        s = max(max(abs(v[0]), abs(v[1])).bit_length() for v in vs) - 1000
+        hints = [atan2(cy >> s, cx >> s) for cx, cy, _, _ in vs]
+    vs = [vs[i] for i in sorted(range(len(vs)), key=hints.__getitem__)]
+    for i in range(1, len(vs)):
+        v = vs[i]
+        vx, vy, vj, _ = v
+        k = i
+        while k > 0:
+            ux, uy, uj, _ = vs[k - 1]
+            c = ux * vy - uy * vx
+            if c > 0:
+                break
+            if c == 0:
+                raise GeneralPositionError(tuple(sorted((p, uj, vj))))
+            vs[k] = vs[k - 1]
+            k -= 1
+        vs[k] = v
+    return vs
+
+
+def row_oriented_counts(n, rows):
+    """Oracle for oriented_edge_counts: the histogram of the left_counts
+    rows of an n-point set by right side, n - 2 - L[j]."""
+    H = [0] * (n - 1)
+    for row in rows:
+        for left in row:
+            if left is not None:
+                H[n - 2 - left] += 1
+    return tuple(H)
+
+
+@strategies.composite
+def line_order_sets(draw):
+    """A random-disc set of 4 to 40 points with a radius of 16 to 2^200,
+    or one of radius 16 to 2^10 with every other point moved by
+    (2^200, 2^200): from one cluster the vectors to the other differ in
+    angle by about 2^-200, so their float atan2 hints tie."""
+    n = draw(strategies.integers(4, 40))
+    seed = draw(strategies.integers(0, 2 ** 32))
+    if draw(strategies.booleans()):
+        e = draw(strategies.integers(5, 200))
+        radius = draw(strategies.integers(2 ** (e - 1), 2 ** e))
+        return generate(GeneratorSpec("random-disc", n, seed, scale=radius))
+    S = generate(GeneratorSpec("random-disc", n, seed, scale=draw(strategies.integers(16, 2 ** 10))))
+    B = 2 ** 200
+    try:
+        return PointSet([(q.x + B, q.y + B) if j % 2 else (q.x, q.y) for j, q in enumerate(S)])
+    except GeneralPositionError:
+        reject()
 
 
 def pairwise_event_parameters(S, ray):

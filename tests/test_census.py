@@ -4,6 +4,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from kedges import (
     CumulativeEdgeVector,
@@ -29,8 +30,10 @@ from kedges.census import left_counts
 from helpers import (
     convex_polygon,
     fan_point_set,
+    line_order_sets,
     random_point_set,
     recount_good_k_edge_count,
+    row_oriented_counts,
     window_left_counts,
 )
 
@@ -112,6 +115,22 @@ def test_left_counts_match_window_oracle():
     for S in sets:
         for p in range(len(S)):
             assert left_counts(S, p) == window_left_counts(S, p)
+
+
+def test_oriented_counts_match_the_row_histogram():
+    # odd and even n both occur, so the halving level of even sets,
+    # counted once per orientation, is covered
+    parities = set()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(line_order_sets())
+    def check(S):
+        n = len(S)
+        parities.add(n % 2)
+        assert oriented_edge_counts(S) == row_oriented_counts(n, [left_counts(S, p) for p in range(n)])
+
+    check()
+    assert parities == {0, 1}
 
 
 def test_oriented_counts_consistent_with_depths():

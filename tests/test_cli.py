@@ -70,6 +70,16 @@ def test_bounds_json(capsys):
     assert [r["simple"] for r in obj["rows"]] == [3, 9, 18, 30, 45]
 
 
+def test_bounds_rejects_n_above_the_cap(capsys):
+    # bound_table builds about n / 2 rows, and a 400-digit n used to end
+    # in an OverflowError traceback from the square-root bound
+    code, out, _ = run(capsys, ["bounds", "--n", "100000", "--csv"])
+    assert code == 0 and out.startswith("n,k,simple,refined,sqrt,best\n")
+    for n in ("100001", "9" * 400):
+        code, out, err = run(capsys, ["bounds", "--n", n])
+        assert (code, out, err) == (2, "", "error: --n exceeds 100000\n")
+
+
 def test_epsilon(capsys):
     code, out, _ = run(capsys, ["epsilon", "--t0", "0.4981", "--json"])
     assert code == 0
@@ -234,8 +244,10 @@ def test_cross_check_outputs_are_pinned(capsys, tmp_path):
 
 _COMMANDS = ("census", "crossings", "bounds", "reduce", "generate", "verify", "epsilon")
 _junk = st.sampled_from(["", "-", "--", "x", "1e3", "0x10", "nan", "inf", "-0", "#", "\u0661"])
-# at most 200: bound_table builds about n/2 rows and has no upper limit
 _small_int = st.integers(-5, 200).map(str)
+# bounds --n is drawn up to 200 or past the command's cap of 100,000,
+# where it is rejected: bound_table builds about n/2 rows
+_bounds_n = _small_int | st.integers(100_001, 10 ** 400).map(str)
 
 
 @st.composite
@@ -271,7 +283,7 @@ def _argv(draw):
         if command != "verify":
             argv += fmt
     elif command == "bounds":
-        argv = ["bounds", "--n", draw(_mostly(_small_int, _junk))] + fmt
+        argv = ["bounds", "--n", draw(_mostly(_bounds_n, _junk))] + fmt
     elif command == "generate":
         # n and the radius stay small: grid search lists every cell of its
         # grid, and random-disc retries up to 200,000 draws

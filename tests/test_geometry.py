@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from kedges import (
     GeneralPositionError,
@@ -18,6 +19,7 @@ from kedges import (
     orientation,
     validate_general_position,
 )
+from kedges import geometry
 from kedges.census import left_counts
 from kedges.geometry import line_order
 from kedges.motion import _wedge_sorted
@@ -26,6 +28,8 @@ from helpers import (
     comparator_angular_order,
     convex_polygon,
     fan_point_set,
+    insertion_line_order,
+    line_order_sets,
     order_type,
     random_point_set,
 )
@@ -219,6 +223,28 @@ def test_angular_order_matches_comparator_oracle():
     # the float keys of the fans tie or invert, so the exact pass must
     # reorder some of them
     assert repaired > 0
+
+
+def test_line_order_matches_the_insertion_oracle(monkeypatch):
+    # the insertion pass runs only when the check of the presorted list
+    # finds a pair out of order; the clusters' tied hints make it run
+    settled = []
+    settle = geometry._settle
+
+    def counted(vs, p):
+        settled.append(p)
+        settle(vs, p)
+
+    monkeypatch.setattr(geometry, "_settle", counted)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(line_order_sets())
+    def check(S):
+        for p in range(len(S)):
+            assert [v[1:] for v in line_order(S, p)] == insertion_line_order(S, p)
+
+    check()
+    assert settled
 
 
 def _unvalidated(coords):

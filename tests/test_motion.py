@@ -33,6 +33,7 @@ from kedges import (
 )
 from kedges import census, motion
 from kedges.census import left_counts
+from kedges.geometry import line_order
 from kedges.motion import _simplest_between
 from helpers import (
     convex_polygon,
@@ -663,21 +664,30 @@ def test_left_count_matrix_follows_every_step_generated(S):
 
 
 def test_reduce_builds_each_left_count_row_once(monkeypatch):
-    # the census module is patched too, so a sweep behind the summaries
-    # would be counted
+    # the census sorts lines with census.line_order, once per row and
+    # once per point of a sweep, so counting those calls too would
+    # catch a sweep behind the summaries
     calls = []
+    orders = []
 
     def counted(S, p):
         calls.append(p)
         return left_counts(S, p)
 
+    def counted_order(S, p):
+        orders.append(p)
+        return line_order(S, p)
+
     monkeypatch.setattr(motion, "left_counts", counted)
     monkeypatch.setattr(census, "left_counts", counted)
+    monkeypatch.setattr(census, "line_order", counted_order)
     for S in (convex_polygon(12), generate(GeneratorSpec("random-disc", 40, 1)), PointSet(NUDGE_CASES[0][0])):
         calls.clear()
+        orders.clear()
         T, trace = reduce_to_triangle(S)
         assert len(trace.steps) >= 2
         assert sorted(calls) == list(range(len(S)))
+        assert sorted(orders) == list(range(len(S)))
 
 
 # ---------------------------------------------- kernels and oracles
