@@ -28,6 +28,8 @@ _RANDOM_SEARCH_TRIALS = 4_000
 # general-position checks the grid-search kind spends on its row-by-row
 # backtracking search when no random sample is in general position
 _BACKTRACK_BUDGET = 200_000
+# largest grid-search radius: the search lists all (2r+1)^2 cells first
+_GRID_MAX_RADIUS = 256
 
 
 class GenerationError(RuntimeError):
@@ -40,7 +42,7 @@ class GeneratorSpec:
 
     ``scale`` bounds the coordinate radius; 0 picks a per-kind default
     (1000 for random-disc, 1 for convex, the cluster-separation formula
-    for three-cluster, 2 for grid-search).
+    for three-cluster, 2 for grid-search, whose radius is at most 256).
     """
 
     kind: str
@@ -143,6 +145,8 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
     every subset (or sample) would pick.
     """
     r = scale or 2
+    if r > _GRID_MAX_RADIUS:
+        raise ValueError("grid radius exceeds %d" % _GRID_MAX_RADIUS)
     if n > 2 * (2 * r + 1):
         raise ValueError(
             "n=%d exceeds %d: the %d rows of the grid of radius %d hold at most two points each"

@@ -32,7 +32,6 @@ from .census import (
 )
 from .crossings import crossings_from_census
 from .geometry import (
-    GeneralPositionError,
     PointSet,
     angular_order,
     convex_hull,
@@ -450,17 +449,6 @@ def _advance(L, S: PointSet, step: MotionStep) -> list:
 _MAX_ATTEMPTS = 64
 
 
-class _RoundRetry(Exception):
-    """A landing of the round went too deep: p's landing left q's ray
-    no longer a halving ray of the moved set, or a stop broke general
-    position.  ``depth`` is that landing's relative depth; the next
-    attempt caps the band at half of it."""
-
-    def __init__(self, depth: Fraction):
-        super().__init__(depth)
-        self.depth = depth
-
-
 def _simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
     """The simplest rational strictly between lo >= 0 and hi > lo (None
     for no upper end): the least denominator, then the least numerator.
@@ -489,22 +477,24 @@ def _simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
 
 
 def _land(
-    S: PointSet, L, ray: Ray, h: Tuple[int, int], pair: Tuple[int, int],
-    band: Optional[Fraction],
-) -> Tuple[PointSet, list, MotionStep, Fraction]:
+    S: PointSet, L, ray: Ray, h: Tuple[int, int], pair: Tuple[int, int]
+) -> Tuple[PointSet, list, MotionStep]:
     """Move the ray's anchor a to just beyond the far offset across h.
 
     The far offset is the least signed offset cross(h, x - a) over the
     points x of S outside ``pair``.  The anchor reaches it at t_low, and
     its first event after t_low is at t_next (none: no upper end).  The
-    stop is the simplest rational in (t_low, t_next), below
-    t_low * (1 + band) when a band is given, so that the landing lies
-    at most ``band`` times the far offset beyond it.  One
+    stop is the simplest rational in (t_low, t_next).  One
     _event_parameters pass gives t_next and the step's events, those up
     to t_low, classified against L, the left-count matrix of S.  Returns
-    the moved set, its matrix (a new one, ``_advance``), the step and
-    the landing's relative depth stop / t_low - 1; a stop that breaks
-    general position raises _RoundRetry with that depth.
+    the moved set, its matrix (a new one, ``_advance``) and the step.
+
+    The landing a' keeps general position.  The stop lies strictly
+    between event parameters, so a' is on no line through two other
+    points.  Nor can a' coincide with a point x: a' would then lie on
+    line xy for every other point y, and each such line is an event:
+    one parallel to the ray would be the ray's own line, making a, x
+    and y collinear.
     """
     ax, ay = S[ray.anchor].x, S[ray.anchor].y
     low = min(h[0] * (x.y - ay) - h[1] * (x.x - ax) for j, x in enumerate(S) if j not in pair)
@@ -522,19 +512,10 @@ def _land(
             kept.append(ev)
         elif nxt is None or num * nxt[1] < nxt[0] * den:
             nxt = ev
-    hi = None if nxt is None else Fraction(nxt[0], nxt[1])
-    if band is not None:
-        cap = t_low * (1 + band)
-        hi = cap if hi is None else min(hi, cap)
-    stop = _simplest_between(t_low, hi)
-    depth = stop / t_low - 1
+    stop = _simplest_between(t_low, None if nxt is None else Fraction(nxt[0], nxt[1]))
     events = _sorted_events(S, ray, kept, L)
-    try:
-        moved = apply_motion(S, ray.anchor, ray, stop)
-    except GeneralPositionError:
-        raise _RoundRetry(depth)
     step = MotionStep(ray.anchor, ray, stop, tuple(events))
-    return moved, _advance(L, S, step), step, depth
+    return apply_motion(S, ray.anchor, ray, stop), _advance(L, S, step), step
 
 
 def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
@@ -556,6 +537,23 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     mutation on the way strictly decreases the crossing count and
     shifts one census unit downward.
 
+    Why q's ray survives p's landing.  Take the frame with origin z and
+    axes along the heads d_p and d_q, scaled so that p = (1, 0) and
+    q = (0, 1); affine maps keep sides and cones.  The light side of
+    line pq is x + y > 1.  (a) Every light point w other than p, q has
+    y_w > 0: if w - p = (a, b) with b <= 0 < a + b, then
+    (w - p) - b(q - p) = (a + b, 0), a positive multiple of p's head,
+    lies in p's wedge (weights 1 and -b >= 0 on two of its vectors),
+    which a halving ray excludes.  (b) At t_low p is at
+    P = w + y_w(p - q), with w a deepest light point, so
+    P - q = (w - q) + y_w(p - q) lies strictly inside q's wedge, as p
+    is not q's hull neighbour.  (c) No event lies between t_low and the
+    stop, so p' crosses neither hull-edge line at q and q keeps its
+    wedge; the ray lines meet only at z, so p' also stays on its side
+    of q's ray line.  So q's ray is still a halving ray of the moved
+    set; a round where it is not contradicts this argument and raises
+    RuntimeError as an internal error.
+
     Why the hull shrinks.  p lies between z and its landing p', and z
     is in the old hull, so z is a convex combination of p' and the
     points that stay: the hull only grows, no interior point becomes
@@ -572,13 +570,9 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
     contradicts this argument and raises RuntimeError as an internal
     error; it is not retried.
 
-    If p's landing makes q's ray stop being a halving ray (q is no
-    longer extreme) or a landing breaks general position, the band
-    narrows: the relative depth of the landings beyond the far offset
-    is capped at half that of the landing at fault, so the cap at least
-    halves each time.  If a motion hits simultaneous events, that
-    point's ray is nudged.  p's landing depends only on its ray and the
-    band, so when q's ray is nudged, only q lands again.
+    If a motion hits simultaneous events, that point's ray is nudged.
+    p's landing depends only on its ray, so when q's ray is nudged,
+    only q lands again.
 
     The order type is kept across moves: the left-count matrix of the
     set (``left_counts`` rows, one per point) is built once and advanced
@@ -594,26 +588,18 @@ def reduce_to_triangle(S: PointSet) -> Tuple[PointSet, ReductionTrace]:
         h = _heavy_side(S, p, q, L[p][q])
         pair = (p, q)
         attempt = {p: 0, q: 0}
-        band: Optional[Fraction] = None
         landed_p = None
         for _ in range(_MAX_ATTEMPTS):
             try:
                 ray_p, ray_q = _ray_pair(S, hull, p, q, h, attempt[p], attempt[q])
                 if landed_p is None:
-                    landed_p = _land(S, L, ray_p, h, pair, band)
-                S1, L1, step_p, depth = landed_p
-                # moving p never crosses the line of q's ray (the two
-                # lines meet in their tails, inside the hull), so the
-                # split is untouched; only q's extremality could degrade
+                    landed_p = _land(S, L, ray_p, h, pair)
+                S1, L1, step_p = landed_p
                 if not is_halving_ray(S1, ray_q):
-                    raise _RoundRetry(depth)
-                S2, L2, step_q, _ = _land(S1, L1, ray_q, h, pair, band)
+                    raise RuntimeError("internal: q's ray is no longer a halving ray after p's landing")
+                S2, L2, step_q = _land(S1, L1, ray_q, h, pair)
             except SimultaneousEventError as exc:
                 attempt[exc.moving] += 1
-                continue
-            except _RoundRetry as exc:
-                band = exc.depth / 2
-                landed_p = None
                 continue
             hull2 = convex_hull(S2)
             if len(hull2) >= len(hull):

@@ -80,6 +80,16 @@ def test_bounds_rejects_n_above_the_cap(capsys):
         assert (code, out, err) == (2, "", "error: --n exceeds 100000\n")
 
 
+def test_generate_rejects_grid_radius_above_the_cap(capsys):
+    # grid search lists all (2r+1)^2 cells before searching: r = 256 peaks
+    # near 46 MB, and nothing bounded the radius before
+    code, out, _ = run(capsys, ["generate", "--kind", "grid-search", "--n", "5", "--scale", "256"])
+    assert code == 0 and out.startswith("# generated: kind=grid-search n=5 seed=0 scale=256\n5\n")
+    for scale in ("257", "9" * 400):
+        code, out, err = run(capsys, ["generate", "--kind", "grid-search", "--n", "5", "--scale", scale])
+        assert (code, out, err) == (2, "", "error: grid radius exceeds 256\n")
+
+
 def test_epsilon(capsys):
     code, out, _ = run(capsys, ["epsilon", "--t0", "0.4981", "--json"])
     assert code == 0
@@ -248,6 +258,7 @@ _small_int = st.integers(-5, 200).map(str)
 # bounds --n is drawn up to 200 or past the command's cap of 100,000,
 # where it is rejected: bound_table builds about n/2 rows
 _bounds_n = _small_int | st.integers(100_001, 10 ** 400).map(str)
+_scale = st.integers(-1, 6).map(str) | st.integers(257, 10 ** 400).map(str)
 
 
 @st.composite
@@ -285,13 +296,14 @@ def _argv(draw):
     elif command == "bounds":
         argv = ["bounds", "--n", draw(_mostly(_bounds_n, _junk))] + fmt
     elif command == "generate":
-        # n and the radius stay small: grid search lists every cell of its
-        # grid, and random-disc retries up to 200,000 draws
+        # n stays small: random-disc retries up to 200,000 draws; the
+        # radius is small or past grid search's cap of 256, where that
+        # kind is rejected: it lists every cell of its grid
         argv = ["generate", "--kind", draw(_mostly(st.sampled_from(KINDS), _junk))]
         argv += ["--n", draw(_mostly(st.integers(-2, 14).map(str), _junk))]
         argv += draw(st.sampled_from([[], ["--out", "OUT"]]))
         argv += ["--seed", draw(_mostly(st.integers(-1, 2 ** 64).map(str), _junk))]
-        argv += ["--scale", draw(_mostly(st.integers(-1, 6).map(str), _junk))]
+        argv += ["--scale", draw(_mostly(_scale, _junk))]
     else:
         t0 = _mostly(st.floats(0, 0.5), st.floats()).map(repr) | _junk
         argv = ["epsilon", "--t0", draw(t0)] + fmt

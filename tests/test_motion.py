@@ -1,8 +1,10 @@
 """Motion events, halving rays, mutations and the hull reduction."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -33,7 +35,7 @@ from kedges import (
 )
 from kedges import census, motion
 from kedges.census import left_counts
-from kedges.geometry import line_order
+from kedges.geometry import Point, extends_general_position, line_order
 from kedges.motion import _simplest_between
 from helpers import (
     convex_polygon,
@@ -425,46 +427,22 @@ def test_simplest_between_matches_search():
     assert _simplest_between(Fraction(2), None) == 3
 
 
-@pytest.mark.parametrize("refused", ["is_halving_ray", "apply_motion"])
-def test_reduce_narrows_the_band_after_a_retry(monkeypatch, refused):
-    # refuse p's first landing of the first round, once: q's ray is
-    # reported as no longer halving, or the landing as degenerate
-    lands = []
-    real_land = motion._land
-
-    def land(S, L, ray, h, pair, band):
-        try:
-            out = real_land(S, L, ray, h, pair, band)
-        except motion._RoundRetry as exc:
-            lands.append((band, exc.depth))
-            raise
-        lands.append((band, out[3]))
-        return out
-
-    real = getattr(motion, refused)
+def test_reduce_raises_when_q_ray_is_refused_after_p_lands(monkeypatch):
+    # q's ray provably stays halving after p's landing; a refusal is an
+    # internal error, not a retry
+    real = motion.is_halving_ray
     refuse = [True]
 
     def once(*args):
         if refuse[0]:
             refuse[0] = False
-            if refused == "apply_motion":
-                raise GeneralPositionError((0, 1, 2))
             return False
         return real(*args)
 
-    monkeypatch.setattr(motion, "_land", land)
-    monkeypatch.setattr(motion, refused, once)
-    S = convex_polygon(8)
-    T, trace = reduce_to_triangle(S)
-    # the retried round lands p, then q, within half the refused depth
-    (band0, depth0), (band_p, depth_p), (band_q, depth_q) = lands[:3]
-    assert band0 is None and band_p == band_q == depth0 / 2
-    assert 0 < depth_p < band_p and 0 < depth_q < band_q
-    assert hull_size(T) == 3
-    R = S
-    for st in trace.steps:
-        R = apply_motion(R, st.moved, st.ray, st.stop)
-    assert R == T
+    monkeypatch.setattr(motion, "is_halving_ray", once)
+    with pytest.raises(RuntimeError, match=r"^internal:"):
+        reduce_to_triangle(convex_polygon(8))
+    assert not refuse[0]
 
 
 # ---------------------------------------------------------- reduction
@@ -608,15 +586,26 @@ def test_reduce_lands_p_once_when_q_is_nudged(monkeypatch):
     anchors = []
     real_land = motion._land
 
-    def land(S, L, ray, h, pair, band):
+    def land(S, L, ray, h, pair):
         anchors.append(ray.anchor)
-        return real_land(S, L, ray, h, pair, band)
+        return real_land(S, L, ray, h, pair)
 
     monkeypatch.setattr(motion, "_land", land)
     T, trace = reduce_to_triangle(S)
     assert anchors[:3] == [p, q, q]
     assert anchors[3] == trace.steps[2].moved
     assert [(st.moved, st.ray.direction) for st in trace.steps] == expected_steps
+
+
+def test_landing_growth_demo_passes_its_checks(capsys):
+    # 240 seeded random-disc sets with radii up to 2^40; without a retry
+    # in the reduction, a gap in its proofs would raise here
+    path = Path(__file__).resolve().parents[1] / "demos" / "landing_growth.py"
+    spec = importlib.util.spec_from_file_location("landing_growth", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main() == 0
+    assert "240 sets, 0 failed checks" in capsys.readouterr().out
 
 
 def fresh_rows(S):
@@ -688,6 +677,53 @@ def test_reduce_builds_each_left_count_row_once(monkeypatch):
         assert len(trace.steps) >= 2
         assert sorted(calls) == list(range(len(S)))
         assert sorted(orders) == list(range(len(S)))
+
+
+@strategies.composite
+def flat_ellipse_sets(draw):
+    """5 to 14 points in general position inside a flat integer ellipse
+    with semi-axes a = ratio * b and b, by seeded rejection sampling."""
+    n = draw(strategies.integers(5, 14))
+    b = draw(strategies.integers(8, 2 ** 10))
+    a = b * draw(strategies.integers(4, 64))
+    rng = random.Random(draw(strategies.integers(0, 2 ** 32)))
+    pts = []
+    while len(pts) < n:
+        p = Point(rng.randint(-a, a), rng.randint(-b, b))
+        if (p.x * b) ** 2 + (p.y * a) ** 2 <= (a * b) ** 2 and extends_general_position(pts, p):
+            pts.append(p)
+    return PointSet(pts)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_disc_sets.filter(lambda S: len(S) >= 5) | flat_ellipse_sets())
+def test_p_landing_keeps_q_wedge_and_light_side(S):
+    # the steps of the reduce_to_triangle proof that q's ray survives
+    # p's landing: (a) every light point lies strictly on q's side of
+    # p's ray line; (c) q's wedge keeps its two boundary points
+    real_land = motion._land
+    rounds = []
+
+    def land(S, L, ray, h, pair):
+        out = real_land(S, L, ray, h, pair)
+        p, q = pair
+        if ray.anchor == p:
+            rounds.append(pair)
+            o, (dx, dy) = S[p], ray.direction
+            q_side = dx * (S[q].y - o.y) - dy * (S[q].x - o.x) > 0
+            for j, w in enumerate(S):
+                if j not in pair and h[0] * (w.y - o.y) - h[1] * (w.x - o.x) < 0:
+                    side = dx * (w.y - o.y) - dy * (w.x - o.x)
+                    assert side != 0 and (side > 0) == q_side
+            before, after = motion._wedge_sorted(S, q), motion._wedge_sorted(out[0], q)
+            assert (after[0][2], after[-1][2]) == (before[0][2], before[-1][2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motion, "_land", land)
+        T, trace = reduce_to_triangle(S)
+    assert len(rounds) == len(trace.steps) // 2
+    assert hull_size(T) == 3
 
 
 # ---------------------------------------------- kernels and oracles
