@@ -4,13 +4,18 @@ A segment spanned by two points of the set is a j-edge when exactly j
 points lie strictly on its smaller side.  The census collects the
 counts e_0..e_m with m = floor((n-2)/2); their prefix sums are the
 cumulative counts E_0..E_m.  Two independent routes are provided: a
-quadratic-per-point brute force and an O(n^2 log n) count by rank over
-one exact sort of the lines through each point (``line_order``).
+quadratic-per-point brute force and an O(n^2 log n) rotational sweep
+that swaps each pair of points once, in the order of their directions
+(``oriented_edge_counts``).  ``left_counts`` gives the sides of the
+lines through one point, by rank over one exact sort of them
+(``line_order``); a matrix of its rows gives the census again
+(``oriented_counts_from_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import comb
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -20,6 +25,7 @@ from .geometry import (
     Point,
     PointSet,
     cross,
+    direction_hint,
     line_order,
     orientation,
 )
@@ -159,24 +165,119 @@ def left_counts(S: PointSet, p: int) -> List[Optional[int]]:
 
 def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     """Histogram H where H[r] counts ordered pairs (p, q) with exactly r
-    points strictly to the right of the directed line p -> q, O(n^2 log n):
-    by the rule of left_counts, an up entry of line_order(S, p) has
-    n - 2 - (U - t) points on its right and any other entry U - 1 - t."""
+    points strictly to the right of the directed line p -> q, by one
+    rotational sweep that visits each pair once, O(n^2 log n).
+
+    Sorted by (y, x), every pair i < j points into [0, pi) and the
+    order is that of the points along the normal of a direction just
+    below 0.  Turning the direction counterclockwise to pi swaps each
+    pair once, when the direction reaches i -> j; the pair is then
+    adjacent, at ranks a and a + 1, so a points lie right of i -> j
+    and n - 2 - a left of it.  G[a] counts these swaps, and
+    H[r] = G[r] + G[n - 2 - r].  Parallel pairs are disjoint, so they
+    swap in either order.
+
+    The pairs are walked in four sectors of [0, pi), cut at the
+    directions (1, 0), (w, h), (0, 1) and (-w, h), where w and h are the
+    width and height of the bounding box, and selected exactly by
+    comparing h*x - w*y, x and h*x + w*y of the two points.  The
+    diagonals of the box spread the pairs of flat or tall sets, such as
+    points on a parabola, over all four sectors.  Each sector is
+    presorted by the float direction_hint and walked with two checks:
+    no adjacent pair of it turns clockwise, and every swap is of
+    adjacent points.  A failed check restores the sector's starting
+    ranks and counts, sorts the sector by integer cross signs and walks
+    it again.
+
+    Memory is traded for time: the sweep holds one sector at a time,
+    about n^2/8 entries (hint, i, j) when the directions spread over
+    the sectors (all n(n-1)/2 at worst), where a sort per point held n.
+    On random-disc sets the peak traced allocation of a call is 324 KB
+    at n = 160, 1.7 MB at n = 320 and 7.2 MB at n = 640, against 18 KB,
+    47 KB and 105 KB for the sorts per point, and the time falls by
+    20-35% (Python 3.11, 2 CPUs).
+    """
     n = len(S)
     if n < 3:
         raise ValueError("census needs at least 3 points")
+    yx = sorted((q.y, q.x) for q in S)
+    ys = [y for y, _ in yx]
+    xs = [x for _, x in yx]
+    w, h = max(xs) - min(xs), ys[-1] - ys[0]
+    hint = direction_hint(max(w, h))
+    # i -> j is in sector k exactly when cuts[k][j] <= cuts[k][i] and
+    # cuts[k + 1][j] > cuts[k + 1][i]; the first and last rows always pass
+    cuts = (
+        [0] * n,
+        [h * x - w * y for y, x in yx],
+        xs,
+        [h * x + w * y for y, x in yx],
+        range(n),
+    )
+    pos = list(range(n))
+    G = [0] * (n - 1)
+    for lo, hi in zip(cuts, cuts[1:]):
+        sector = []
+        for i in range(n - 1):
+            xi, yi, lo_i, hi_i = xs[i], ys[i], lo[i], hi[i]
+            sector += [
+                (hint(ys[j] - yi, xs[j] - xi), i, j)
+                for j in range(i + 1, n)
+                if lo[j] <= lo_i and hi[j] > hi_i
+            ]
+        sector.sort(key=itemgetter(0))
+        start = pos[:], G[:]
+        if _walk(sector, xs, ys, pos, G) is not None:
+            pos[:], G[:] = start
+            sector.sort(key=_by_direction(xs, ys))
+            failed = _walk(sector, xs, ys, pos, G)
+            if failed is not None:
+                raise RuntimeError("internal: %s in the exactly sorted sweep" % failed)
+    return tuple(G[r] + G[n - 2 - r] for r in range(n - 1))
+
+
+def _walk(sector, xs, ys, pos, G) -> Optional[str]:
+    """Swap the pairs of ``sector`` in turn, updating the ranks ``pos``
+    and the counts G of oriented_edge_counts in place.  Returns None, or
+    the first failed check: "inversion" (a pair turns clockwise from
+    the one before it) or "non-adjacent swap"."""
+    ux, uy = 1, 0
+    for _, i, j in sector:
+        vx = xs[j] - xs[i]
+        vy = ys[j] - ys[i]
+        if ux * vy < uy * vx:
+            return "inversion"
+        a = pos[i]
+        if pos[j] != a + 1:
+            return "non-adjacent swap"
+        G[a] += 1
+        pos[i] = a + 1
+        pos[j] = a
+        ux, uy = vx, vy
+    return None
+
+
+def _by_direction(xs, ys):
+    """Sort key putting entries (hint, i, j) in counterclockwise order
+    of i -> j on [0, pi), by the integer cross sign; parallel pairs tie."""
+    def cmp(u, v):
+        _, i, j = u
+        _, k, l = v
+        c = (xs[j] - xs[i]) * (ys[l] - ys[k]) - (ys[j] - ys[i]) * (xs[l] - xs[k])
+        return (c < 0) - (c > 0)
+    return cmp_to_key(cmp)
+
+
+def oriented_counts_from_rows(L) -> Tuple[int, ...]:
+    """The histogram H of oriented_edge_counts from the left-count
+    matrix L of the set (L[i] = left_counts(S, i)): i -> j has
+    n - 2 - L[i][j] points on its right."""
+    n = len(L)
     H = [0] * (n - 1)
-    for p in range(n):
-        ups = list(map(itemgetter(4), line_order(S, p)))
-        U = sum(ups)
-        t = 0
-        for up in ups:
-            if up:
-                t += 1
-                H[n - 2 - U + t] += 1
-            else:
-                t -= 1
-                H[U - 1 - t] += 1
+    for row in L:
+        for left in row:
+            if left is not None:
+                H[n - 2 - left] += 1
     return tuple(H)
 
 

@@ -7,8 +7,9 @@ empty list means the set passed every check.  Any non-empty result is
 evidence of a bug, since the inequalities hold for every point set in
 general position.
 
-The routes and their costs: the sweep census (``left_counts`` rows,
-O(n^2 log n)) against the O(n^3) brute-force census; the identity
+The routes and their costs: the rotational-sweep census, O(n^2 log n),
+against the O(n^3) brute-force census and against the histogram of
+the ``left_counts`` rows, O(n^2 log n); the identity
 crossing count against the O(n^4) quadruple count
 ``crossings_bruteforce`` and the cumulative form; the good k-edges
 from the ``left_counts`` rows, O(n^2 log n) per k.  The quadruple count
@@ -25,7 +26,9 @@ from .census import (
     edge_vector_bruteforce,
     edge_vector_sweep,
     good_k_edge_count,
+    left_counts,
     max_depth,
+    oriented_counts_from_rows,
     oriented_edge_counts,
 )
 from .crossings import crossings_bruteforce, crossings_via_identity, exact_lcr_from_E
@@ -56,9 +59,10 @@ def containing_triangle(S: PointSet) -> Tuple[Point, Point, Point]:
 
 def verify_point_set(S: PointSet) -> List[str]:
     """Run every cross-check on S and return the list of violations:
-    sweep census against brute force, identity crossings against the
-    quadruple count, E_k against both bounds, and the good k-edges per
-    k from the left_counts rows.  crossings_bruteforce makes it O(n^4).
+    sweep census against brute force and against the left_counts rows,
+    identity crossings against the quadruple count, E_k against both
+    bounds, and the good k-edges per k from the left_counts rows.
+    crossings_bruteforce makes it O(n^4).
     """
     problems: List[str] = []
     n = len(S)
@@ -81,11 +85,11 @@ def verify_point_set(S: PointSet) -> List[str]:
                 "oriented count H[%d]=%d does not match edge vector entry %d"
                 % (j, H[j], e_brute.e[j])
             )
-        if H[n - 2 - j] != H[j]:
-            problems.append(
-                "oriented counts are not symmetric: H[%d]=%d, H[%d]=%d"
-                % (j, H[j], n - 2 - j, H[n - 2 - j])
-            )
+    rows_H = oriented_counts_from_rows([left_counts(S, p) for p in range(n)])
+    if H != rows_H:
+        problems.append(
+            "oriented counts disagree: sweep %r, left-count rows %r" % (H, rows_H)
+        )
 
     cr_brute = crossings_bruteforce(S).crossings
     E = cumulative(e_brute)

@@ -14,7 +14,7 @@ from enum import IntEnum
 from fractions import Fraction
 from math import atan2, gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class Orientation(IntEnum):
@@ -215,18 +215,31 @@ class PointSet:
         return moved
 
 
+def direction_hint(span: int) -> Callable[[int, int], float]:
+    """The float presort key (y, x) -> atan2(y, x) for vectors whose
+    components are at most ``span`` in absolute value.  A float holds
+    integers of up to 1024 bits, so for a longer span both components
+    are first shifted right by one common amount, to at most 1000 bits.
+    The key only presorts: every order it suggests is checked by the
+    sign of an integer cross product."""
+    s = span.bit_length() - 1000
+    if s <= 0:
+        return atan2
+    return lambda y, x: atan2(y >> s, x >> s)
+
+
 def line_order(S: PointSet, p: int) -> List[Tuple[float, int, int, int, bool]]:
     """The lines from point p to every other point j, as tuples
     (hint, cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
 
     (cx, cy) is p -> j when that points into [0, pi) (``up``), and its
     negation otherwise; on [0, pi) the sign of cx*cy' - cy*cx' is a
-    strict total order.  The float ``hint``, atan2 of (cx, cy) (shifted
-    right by one common amount if too long for a float), presorts the
-    list.  One pass then checks the integer sign of each adjacent pair;
-    only if some sign is not positive does an insertion pass settle the
-    list by those signs.  A zero sign means p is on a line with two
-    points, perhaps between them: GeneralPositionError, sorted triple.
+    strict total order.  The float ``hint`` of (cx, cy), by
+    direction_hint, presorts the list.  One pass then checks the
+    integer sign of each adjacent pair; only if some sign is not
+    positive does an insertion pass settle the list by those signs.  A
+    zero sign means p is on a line with two points, perhaps between
+    them: GeneralPositionError, sorted triple.
     """
     ox, oy = S[p]
     hint = atan2
@@ -242,8 +255,7 @@ def line_order(S: PointSet, p: int) -> List[Tuple[float, int, int, int, bool]]:
                         vs.append((hint(-cy, -cx), -cx, -cy, j, False))
             break
         except OverflowError:
-            s = max(max(abs(q.x - ox), abs(q.y - oy)).bit_length() for q in S) - 1000
-            hint = lambda y, x: atan2(y >> s, x >> s)
+            hint = direction_hint(max(max(abs(q.x - ox), abs(q.y - oy)) for q in S))
     vs.sort(key=itemgetter(0))
     for (_, ux, uy, _, _), (_, vx, vy, _, _) in zip(vs, vs[1:]):
         if ux * vy - uy * vx <= 0:

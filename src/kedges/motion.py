@@ -29,6 +29,7 @@ from .census import (
     EdgeVector,
     edge_vector_from_oriented_counts,
     left_counts,
+    oriented_counts_from_rows,
 )
 from .crossings import crossings_from_census
 from .geometry import (
@@ -408,15 +409,8 @@ def config_summary(S: PointSet) -> ConfigSummary:
 
 def _matrix_summary(L, hull: Tuple[int, ...]) -> ConfigSummary:
     """The summary of the set with left-count matrix L and hull
-    ``hull``: its census is the histogram of the entries of L by right
-    side, n - 2 - L[i][j] points right of i -> j."""
-    n = len(L)
-    H = [0] * (n - 1)
-    for row in L:
-        for left in row:
-            if left is not None:
-                H[n - 2 - left] += 1
-    e = edge_vector_from_oriented_counts(n, H)
+    ``hull``, its census read off L."""
+    e = edge_vector_from_oriented_counts(len(L), oriented_counts_from_rows(L))
     return ConfigSummary(crossings=crossings_from_census(e), edge_vector=e, hull_size=len(hull))
 
 

@@ -24,6 +24,7 @@ from kedges import (
     strictly_inside_triangle,
 )
 from kedges.census import _normalize_ccw
+from kedges.geometry import line_order
 from kedges.generators import _EXHAUSTIVE_BUDGET, _RANDOM_SEARCH_TRIALS, _row_backtrack
 
 
@@ -174,6 +175,27 @@ def insertion_line_order(S, p):
             k -= 1
         vs[k] = v
     return vs
+
+
+def per_point_oriented_counts(S):
+    """Oracle for oriented_edge_counts: one line_order per point, read
+    by the rule of left_counts, so each pair is counted from both ends.
+    An up entry of line_order(S, p) has n - 2 - (U - t) points on its
+    right and any other entry U - 1 - t."""
+    n = len(S)
+    H = [0] * (n - 1)
+    for p in range(n):
+        ups = [v[4] for v in line_order(S, p)]
+        U = sum(ups)
+        t = 0
+        for up in ups:
+            if up:
+                t += 1
+                H[n - 2 - U + t] += 1
+            else:
+                t -= 1
+                H[U - 1 - t] += 1
+    return tuple(H)
 
 
 def row_oriented_counts(n, rows):

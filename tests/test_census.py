@@ -25,12 +25,15 @@ from kedges import (
     oriented_edge_counts,
     packaged_point_set,
     strictly_inside_triangle,
+    verify_point_set,
 )
+from kedges import census, checks
 from kedges.census import left_counts
 from helpers import (
     convex_polygon,
     fan_point_set,
     line_order_sets,
+    per_point_oriented_counts,
     random_point_set,
     recount_good_k_edge_count,
     row_oriented_counts,
@@ -82,6 +85,10 @@ def test_sweep_equals_bruteforce_random():
     for _ in range(60):
         S = random_point_set(rng, rng.randint(3, 12))
         assert edge_vector_sweep(S) == edge_vector_bruteforce(S)
+    # vectors too long for a float take the shifted direction hint
+    for _ in range(10):
+        S = random_point_set(rng, rng.randint(3, 12), radius=2 ** 1100)
+        assert edge_vector_sweep(S) == edge_vector_bruteforce(S)
 
 
 def test_left_counts_match_direct_count():
@@ -117,20 +124,47 @@ def test_left_counts_match_window_oracle():
             assert left_counts(S, p) == window_left_counts(S, p)
 
 
-def test_oriented_counts_match_the_row_histogram():
+def test_oriented_counts_match_the_row_histogram(monkeypatch):
     # odd and even n both occur, so the halving level of even sets,
-    # counted once per orientation, is covered
+    # counted once per orientation, is covered; the clusters' tied
+    # hints make the sweep sort some sectors exactly, after either check
     parities = set()
+    resorts = {}
+    walk = census._walk
+
+    def counted(*args):
+        failed = walk(*args)
+        if failed is not None:
+            resorts[failed] = resorts.get(failed, 0) + 1
+        return failed
+
+    monkeypatch.setattr(census, "_walk", counted)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(line_order_sets())
     def check(S):
         n = len(S)
         parities.add(n % 2)
-        assert oriented_edge_counts(S) == row_oriented_counts(n, [left_counts(S, p) for p in range(n)])
+        H = oriented_edge_counts(S)
+        assert H == per_point_oriented_counts(S)
+        assert H == row_oriented_counts(n, [left_counts(S, p) for p in range(n)])
 
     check()
     assert parities == {0, 1}
+    assert set(resorts) == {"inversion", "non-adjacent swap"}
+
+
+def test_verify_compares_the_sweep_with_the_rows(monkeypatch):
+    # a sweep wrong only above the halving level leaves the e-vector
+    # as it is, so only the comparison with the rows sees it
+    S = random_point_set(random.Random(9), 9)
+    assert verify_point_set(S) == []
+    H = list(oriented_edge_counts(S))
+    H[7] -= 1
+    H[6] += 1
+    monkeypatch.setattr(checks, "oriented_edge_counts", lambda S: tuple(H))
+    problems = verify_point_set(S)
+    assert len(problems) == 1 and problems[0].startswith("oriented counts disagree")
 
 
 def test_oriented_counts_consistent_with_depths():

@@ -653,11 +653,12 @@ def test_left_count_matrix_follows_every_step_generated(S):
 
 
 def test_reduce_builds_each_left_count_row_once(monkeypatch):
-    # the census sorts lines with census.line_order, once per row and
-    # once per point of a sweep, so counting those calls too would
-    # catch a sweep behind the summaries
+    # each row sorts its lines with census.line_order, and a census
+    # walks its sectors with census._walk, so counting those calls too
+    # catches a census behind the summaries
     calls = []
     orders = []
+    walks = []
 
     def counted(S, p):
         calls.append(p)
@@ -667,16 +668,24 @@ def test_reduce_builds_each_left_count_row_once(monkeypatch):
         orders.append(p)
         return line_order(S, p)
 
+    def counted_walk(*args):
+        walks.append(len(args[0]))
+        return walk(*args)
+
+    walk = census._walk
     monkeypatch.setattr(motion, "left_counts", counted)
     monkeypatch.setattr(census, "left_counts", counted)
     monkeypatch.setattr(census, "line_order", counted_order)
+    monkeypatch.setattr(census, "_walk", counted_walk)
     for S in (convex_polygon(12), generate(GeneratorSpec("random-disc", 40, 1)), PointSet(NUDGE_CASES[0][0])):
         calls.clear()
         orders.clear()
+        walks.clear()
         T, trace = reduce_to_triangle(S)
         assert len(trace.steps) >= 2
         assert sorted(calls) == list(range(len(S)))
         assert sorted(orders) == list(range(len(S)))
+        assert walks == []
 
 
 @strategies.composite
