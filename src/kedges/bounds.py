@@ -53,27 +53,28 @@ def bound_refined(n: int, k: int) -> int:
     return base + num // 3
 
 
-def bound_sqrt(n: int, k: int) -> float:
-    """C(n,2) - n*sqrt(n^2 - 2n - 4k(k+1)); requires a nonnegative radicand."""
+def _radicand(n: int, k: int) -> int:
+    """n^2 - 2n - 4k(k+1), the radicand of the square-root bound; raises
+    ValueError when it is negative."""
     rad = n * n - 2 * n - 4 * k * (k + 1)
     if rad < 0:
         raise ValueError("radicand negative for n=%d, k=%d" % (n, k))
-    return comb(n, 2) - n * sqrt(rad)
+    return rad
+
+
+def bound_sqrt(n: int, k: int) -> float:
+    """C(n,2) - n*sqrt(n^2 - 2n - 4k(k+1)); requires a nonnegative radicand."""
+    return comb(n, 2) - n * sqrt(_radicand(n, k))
 
 
 def _sqrt_bound_ceiling(n: int, k: int) -> int:
     """ceil of the square-root bound, computed exactly via isqrt."""
-    rad = n * n - 2 * n - 4 * k * (k + 1)
-    if rad < 0:
-        raise ValueError("radicand negative for n=%d, k=%d" % (n, k))
-    return comb(n, 2) - isqrt(n * n * rad)
+    return comb(n, 2) - isqrt(n * n * _radicand(n, k))
 
 
 def sqrt_bound_dominates(n: int, k: int) -> bool:
     """Exact integer test whether the square-root bound is >= the refined one."""
-    rad = n * n - 2 * n - 4 * k * (k + 1)
-    if rad < 0:
-        raise ValueError("radicand negative for n=%d, k=%d" % (n, k))
+    rad = _radicand(n, k)
     d = comb(n, 2) - bound_refined(n, k)
     if d < 0:
         return False

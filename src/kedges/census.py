@@ -6,16 +6,16 @@ counts e_0..e_m with m = floor((n-2)/2); their prefix sums are the
 cumulative counts E_0..E_m.  Two independent routes are provided: a
 quadratic-per-point brute force and an O(n^2 log n) rotational sweep
 that swaps each pair of points once, in the order of their directions
-(``oriented_edge_counts``).  ``left_counts`` gives the sides of the
-lines through one point, by rank over one exact sort of them
-(``line_order``); a matrix of its rows gives the census again
-(``oriented_counts_from_rows``).
+(``oriented_edge_counts``).  The sweep sorts directions by an exact
+integer key that grows with the coordinates, and so do its memory and
+time.  ``left_counts`` gives the sides of the lines through one point,
+by rank over one exact sort of them (``line_order``); a matrix of its
+rows gives the census again (``oriented_counts_from_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import comb
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -25,7 +25,6 @@ from .geometry import (
     Point,
     PointSet,
     cross,
-    direction_hint,
     line_order,
     orientation,
 )
@@ -182,20 +181,26 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     width and height of the bounding box, and selected exactly by
     comparing h*x - w*y, x and h*x + w*y of the two points.  The
     diagonals of the box spread the pairs of flat or tall sets, such as
-    points on a parabola, over all four sectors.  Each sector is
-    presorted by the float direction_hint and walked with two checks:
-    no adjacent pair of it turns clockwise, and every swap is of
-    adjacent points.  A failed check restores the sector's starting
-    ranks and counts, sorts the sector by integer cross signs and walks
-    it again.
+    points on a parabola, over all four sectors.
+
+    Each sector is sorted by an exact integer key.  In the first two
+    sectors every vector (dx, dy) has 0 < dx <= w, and its direction
+    grows with dy/dx; in the last two 0 < dy <= h, and it grows with
+    -dx/dy.  So each direction is a fraction num/den whose order in its
+    sector is the direction's, with 0 < den < 2^b, b the bit length of
+    max(w, h).  Two such fractions are equal or differ by at least
+    1/(den*den') > 2^-2b, so the keys floor(num * 2^2b / den) are equal
+    exactly when the directions are parallel and are otherwise in the
+    directions' order.  Every comparison is between integers; the walk
+    still checks that every swap is of adjacent points.
 
     Memory is traded for time: the sweep holds one sector at a time,
-    about n^2/8 entries (hint, i, j) when the directions spread over
+    about n^2/8 entries (key, i, j) when the directions spread over
     the sectors (all n(n-1)/2 at worst), where a sort per point held n.
-    On random-disc sets the peak traced allocation of a call is 324 KB
-    at n = 160, 1.7 MB at n = 320 and 7.2 MB at n = 640, against 18 KB,
-    47 KB and 105 KB for the sorts per point, and the time falls by
-    20-35% (Python 3.11, 2 CPUs).
+    A key has up to about 3b bits, so both grow with the coordinates:
+    on random-disc sets the peak traced allocation of a call at n = 160
+    is 371 KB at radius 2^10 and 1.4 MB at radius 2^1100, and 7.8 MB at
+    n = 640, radius 2^10 (Python 3.11, 2 CPUs).
     """
     n = len(S)
     if n < 3:
@@ -204,7 +209,7 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     ys = [y for y, _ in yx]
     xs = [x for _, x in yx]
     w, h = max(xs) - min(xs), ys[-1] - ys[0]
-    hint = direction_hint(max(w, h))
+    s = 2 * max(w, h).bit_length()
     # i -> j is in sector k exactly when cuts[k][j] <= cuts[k][i] and
     # cuts[k + 1][j] > cuts[k + 1][i]; the first and last rows always pass
     cuts = (
@@ -214,58 +219,37 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
         [h * x + w * y for y, x in yx],
         range(n),
     )
+    # the key's (numerator, denominator) coordinates: dy/dx, then -dx/dy
+    flat = (ys, xs)
+    tall = ([-x for x in xs], ys)
     pos = list(range(n))
     G = [0] * (n - 1)
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo, hi, (nums, dens) in zip(cuts, cuts[1:], (flat, flat, tall, tall)):
         sector = []
         for i in range(n - 1):
-            xi, yi, lo_i, hi_i = xs[i], ys[i], lo[i], hi[i]
+            num_i, den_i, lo_i, hi_i = nums[i], dens[i], lo[i], hi[i]
             sector += [
-                (hint(ys[j] - yi, xs[j] - xi), i, j)
+                (((nums[j] - num_i) << s) // (dens[j] - den_i), i, j)
                 for j in range(i + 1, n)
                 if lo[j] <= lo_i and hi[j] > hi_i
             ]
         sector.sort(key=itemgetter(0))
-        start = pos[:], G[:]
-        if _walk(sector, xs, ys, pos, G) is not None:
-            pos[:], G[:] = start
-            sector.sort(key=_by_direction(xs, ys))
-            failed = _walk(sector, xs, ys, pos, G)
-            if failed is not None:
-                raise RuntimeError("internal: %s in the exactly sorted sweep" % failed)
+        _walk(sector, pos, G)
     return tuple(G[r] + G[n - 2 - r] for r in range(n - 1))
 
 
-def _walk(sector, xs, ys, pos, G) -> Optional[str]:
+def _walk(sector, pos, G) -> None:
     """Swap the pairs of ``sector`` in turn, updating the ranks ``pos``
-    and the counts G of oriented_edge_counts in place.  Returns None, or
-    the first failed check: "inversion" (a pair turns clockwise from
-    the one before it) or "non-adjacent swap"."""
-    ux, uy = 1, 0
+    and the counts G of oriented_edge_counts in place.  In direction
+    order each pair is adjacent when it swaps; a pair that is not
+    raises RuntimeError."""
     for _, i, j in sector:
-        vx = xs[j] - xs[i]
-        vy = ys[j] - ys[i]
-        if ux * vy < uy * vx:
-            return "inversion"
         a = pos[i]
         if pos[j] != a + 1:
-            return "non-adjacent swap"
+            raise RuntimeError("internal: non-adjacent swap in the sweep")
         G[a] += 1
         pos[i] = a + 1
         pos[j] = a
-        ux, uy = vx, vy
-    return None
-
-
-def _by_direction(xs, ys):
-    """Sort key putting entries (hint, i, j) in counterclockwise order
-    of i -> j on [0, pi), by the integer cross sign; parallel pairs tie."""
-    def cmp(u, v):
-        _, i, j = u
-        _, k, l = v
-        c = (xs[j] - xs[i]) * (ys[l] - ys[k]) - (ys[j] - ys[i]) * (xs[l] - xs[k])
-        return (c < 0) - (c > 0)
-    return cmp_to_key(cmp)
 
 
 def oriented_counts_from_rows(L) -> Tuple[int, ...]:

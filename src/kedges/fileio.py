@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .geometry import GeneralPositionError, PointSet
+from .geometry import DuplicatePointError, GeneralPositionError, PointSet
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -72,8 +72,9 @@ def parse_point_set(text: str) -> PointSet:
         pts.append(tuple(_integers(fields, lineno, line, "coordinates must be integers")))
     try:
         return PointSet(pts)
-    except GeneralPositionError as exc:
-        where = ", ".join("%d" % lines[1 + i][0] for i in exc.triple)
+    except (DuplicatePointError, GeneralPositionError) as exc:
+        indices = exc.pair if isinstance(exc, DuplicatePointError) else exc.triple
+        where = ", ".join("%d" % lines[1 + i][0] for i in indices)
         raise PointSetFormatError("invalid point set: %s (lines %s)" % (exc, where)) from exc
     except ValueError as exc:
         raise PointSetFormatError("invalid point set: %s" % exc) from exc

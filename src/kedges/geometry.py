@@ -14,7 +14,7 @@ from enum import IntEnum
 from fractions import Fraction
 from math import atan2, gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class Orientation(IntEnum):
@@ -32,6 +32,15 @@ class GeneralPositionError(ValueError):
     def __init__(self, triple: Tuple[int, int, int]):
         self.triple = triple
         super().__init__("collinear triple at indices %r" % (triple,))
+
+
+class DuplicatePointError(ValueError):
+    """Raised when a point occurs twice; ``pair`` holds the indices of
+    its first two occurrences."""
+
+    def __init__(self, pair: Tuple[int, int]):
+        self.pair = pair
+        super().__init__("duplicate point at indices %r" % (pair,))
 
 
 @dataclass(frozen=True)
@@ -103,17 +112,17 @@ def _first_collinear_triple(points: Sequence[Point]) -> Optional[Tuple[int, int,
 def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, int, int]]:
     """Return a witnessing collinear index triple, or None if the set is fine.
 
-    Duplicate points raise ValueError naming the first repeated pair of
-    indices.  Collinearity is decided in O(n^2) gcds, each point against
-    the points after it; only when that finds a collinear triple does
-    the cubic scan run, so the witness is the lexicographically first
-    collinear index triple.
+    Duplicate points raise DuplicatePointError naming the first repeated
+    pair of indices.  Collinearity is decided in O(n^2) gcds, each point
+    against the points after it; only when that finds a collinear triple
+    does the cubic scan run, so the witness is the lexicographically
+    first collinear index triple.
     """
     seen = {}
     for i, p in enumerate(points):
         key = (p.x, p.y)
         if key in seen:
-            raise ValueError("duplicate point at indices (%d, %d)" % (seen[key], i))
+            raise DuplicatePointError((seen[key], i))
         seen[key] = i
     for i, p in enumerate(points):
         if not extends_general_position(points[i + 1:], p):
@@ -162,7 +171,8 @@ class PointSet:
     """An ordered planar point set in general position.
 
     Construction validates the set: duplicate points or a collinear
-    triple raise (GeneralPositionError carries the witnessing triple).
+    triple raise (DuplicatePointError carries the repeated pair of
+    indices, GeneralPositionError the witnessing triple).
     Points are addressed by 0-based index throughout the library.
     """
 
@@ -215,27 +225,16 @@ class PointSet:
         return moved
 
 
-def direction_hint(span: int) -> Callable[[int, int], float]:
-    """The float presort key (y, x) -> atan2(y, x) for vectors whose
-    components are at most ``span`` in absolute value.  A float holds
-    integers of up to 1024 bits, so for a longer span both components
-    are first shifted right by one common amount, to at most 1000 bits.
-    The key only presorts: every order it suggests is checked by the
-    sign of an integer cross product."""
-    s = span.bit_length() - 1000
-    if s <= 0:
-        return atan2
-    return lambda y, x: atan2(y >> s, x >> s)
-
-
 def line_order(S: PointSet, p: int) -> List[Tuple[float, int, int, int, bool]]:
     """The lines from point p to every other point j, as tuples
     (hint, cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
 
     (cx, cy) is p -> j when that points into [0, pi) (``up``), and its
     negation otherwise; on [0, pi) the sign of cx*cy' - cy*cx' is a
-    strict total order.  The float ``hint`` of (cx, cy), by
-    direction_hint, presorts the list.  One pass then checks the
+    strict total order.  The float ``hint`` atan2(cy, cx) presorts the
+    list; a float holds integers of up to 1024 bits, so for longer
+    vectors both components are first shifted right by one common
+    amount, to at most 1000 bits.  One pass then checks the
     integer sign of each adjacent pair; only if some sign is not
     positive does an insertion pass settle the list by those signs.  A
     zero sign means p is on a line with two points, perhaps between
@@ -255,7 +254,10 @@ def line_order(S: PointSet, p: int) -> List[Tuple[float, int, int, int, bool]]:
                         vs.append((hint(-cy, -cx), -cx, -cy, j, False))
             break
         except OverflowError:
-            hint = direction_hint(max(max(abs(q.x - ox), abs(q.y - oy)) for q in S))
+            s = max(max(abs(q.x - ox), abs(q.y - oy)) for q in S).bit_length() - 1000
+
+            def hint(y, x):
+                return atan2(y >> s, x >> s)
     vs.sort(key=itemgetter(0))
     for (_, ux, uy, _, _), (_, vx, vy, _, _) in zip(vs, vs[1:]):
         if ux * vy - uy * vx <= 0:

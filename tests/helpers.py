@@ -1,10 +1,12 @@
 """Shared test utilities: seeded random configurations and slow oracles."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import atan2, comb, gcd
+from pathlib import Path
 from typing import Tuple
 
 from hypothesis import reject, strategies
@@ -26,6 +28,15 @@ from kedges import (
 from kedges.census import _normalize_ccw
 from kedges.geometry import line_order
 from kedges.generators import _EXHAUSTIVE_BUDGET, _RANDOM_SEARCH_TRIALS, _row_backtrack
+
+
+def load_demo(name):
+    """The module demos/<name>.py, loaded without running its main()."""
+    path = Path(__file__).resolve().parents[1] / "demos" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
 
 
 def bound_refined_sum(n, k):

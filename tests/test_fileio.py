@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from kedges import (
+    DuplicatePointError,
     PointSet,
     PointSetFormatError,
     format_point_set,
@@ -91,6 +92,14 @@ def test_collinear_triple_reports_file_lines():
     msg = str(info.value)
     assert "indices (0, 1, 2)" in msg
     assert "lines 4, 5, 7" in msg
+
+
+def test_duplicate_point_reports_file_lines():
+    with pytest.raises(PointSetFormatError) as info:
+        parse_point_set("# c\n4\n\n0 0\n5 1\n0 0\n1 7\n")
+    assert str(info.value) == "invalid point set: duplicate point at indices (0, 2) (lines 4, 6)"
+    assert isinstance(info.value.__cause__, DuplicatePointError)
+    assert info.value.__cause__.pair == (0, 2)
 
 
 def test_missing_file(tmp_path):

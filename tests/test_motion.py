@@ -1,10 +1,8 @@
 """Motion events, halving rays, mutations and the hull reduction."""
 
-import importlib.util
 import random
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -41,6 +39,7 @@ from helpers import (
     convex_polygon,
     fraction_line_intersection_inside_hull,
     indexed_convex_hull,
+    load_demo,
     order_type,
     pairwise_event_parameters,
     random_point_set,
@@ -600,11 +599,7 @@ def test_reduce_lands_p_once_when_q_is_nudged(monkeypatch):
 def test_landing_growth_demo_passes_its_checks(capsys):
     # 240 seeded random-disc sets with radii up to 2^40; without a retry
     # in the reduction, a gap in its proofs would raise here
-    path = Path(__file__).resolve().parents[1] / "demos" / "landing_growth.py"
-    spec = importlib.util.spec_from_file_location("landing_growth", path)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
-    assert demo.main() == 0
+    assert load_demo("landing_growth").main() == 0
     assert "240 sets, 0 failed checks" in capsys.readouterr().out
 
 
