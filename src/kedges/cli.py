@@ -16,29 +16,18 @@ byte-deterministic for fixed inputs and flags; the only
 non-deterministic output (timings of ``crossings --method both``) goes
 to stderr.  CSV column order is fixed as documented per
 subcommand, and JSON objects are emitted with sorted keys.
+
+Each subcommand imports only the modules it runs, so start-up costs
+what the command needs; ``tests/test_cli.py`` checks each command's
+module set.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from fractions import Fraction
-
-from .bounds import (
-    bound_table,
-    crossing_lower_bound_exact,
-    epsilon_integral,
-    halving_upper_bound,
-)
-from .census import edge_vector_sweep
-from .checks import verify_point_set
-from .crossings import CensusError, crossings_bruteforce, crossings_via_identity
-from .fileio import format_point_set, load_point_set
-from .generators import KINDS, GenerationError, GeneratorSpec, generate
-from .motion import ReductionTrace, reduce_to_triangle
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -65,6 +54,8 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv
+
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
@@ -75,6 +66,9 @@ def _vector(values) -> str:
 
 
 def _cmd_census(args) -> int:
+    from .census import edge_vector_sweep
+    from .fileio import load_point_set
+
     S = load_point_set(args.file)
     e = edge_vector_sweep(S)
     E = e.cumulative()
@@ -94,6 +88,9 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
+    from .crossings import crossings_bruteforce, crossings_via_identity
+    from .fileio import load_point_set
+
     S = load_point_set(args.file)
     if args.method == "both":
         reports = []
@@ -130,6 +127,8 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bound_table, crossing_lower_bound_exact, halving_upper_bound
+
     n = args.n
     if n > BOUNDS_MAX_N:
         raise ValueError("--n exceeds %d" % BOUNDS_MAX_N)
@@ -179,11 +178,11 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _trace_obj(trace: ReductionTrace) -> dict:
+def _trace_obj(trace) -> dict:
     def summary(s):
         return {
             "crossings": s.crossings,
@@ -215,6 +214,9 @@ def _trace_obj(trace: ReductionTrace) -> dict:
 
 
 def _cmd_reduce(args) -> int:
+    from .fileio import format_point_set, load_point_set
+    from .motion import reduce_to_triangle
+
     S = load_point_set(args.file)
     T, trace = reduce_to_triangle(S)
     if args.trace:
@@ -246,6 +248,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .fileio import format_point_set
+    from .generators import GeneratorSpec, generate
+
     spec = GeneratorSpec(args.kind, args.n, seed=args.seed, scale=args.scale)
     S = generate(spec)
     comment = "generated: kind=%(kind)s n=%(n)d seed=%(seed)d scale=%(scale)d" % vars(spec)
@@ -258,6 +263,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
+    from .bounds import epsilon_integral
+
     value = epsilon_integral(args.t0)
     if args.json:
         _emit_json({"t0": args.t0, "epsilon": value})
@@ -269,6 +276,9 @@ def _cmd_epsilon(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import verify_point_set
+    from .fileio import load_point_set
+
     S = load_point_set(args.file)
     problems = verify_point_set(S)
     for p in problems:
@@ -287,6 +297,8 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .generators import KINDS
+
     ap = argparse.ArgumentParser(
         prog="kedges",
         description="Exact edge censuses, crossing numbers, bounds and "
@@ -352,6 +364,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed the usage error (2) or the help (0)
         return exc.code
+    # generators and crossings are loaded by now: generators holds KINDS
+    from .crossings import CensusError
+    from .generators import GenerationError
+
     try:
         return args.func(args)
     except (GenerationError, CensusError) as exc:

@@ -8,10 +8,9 @@ lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .geometry import DuplicatePointError, GeneralPositionError, PointSet
 
@@ -82,7 +81,9 @@ def parse_point_set(text: str) -> PointSet:
 
 def load_point_set(path) -> PointSet:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        # fspath refuses an int, which open() would take as a descriptor
+        with open(os.fspath(path), encoding="ascii") as fh:
+            text = fh.read()
     except OSError as exc:
         raise PointSetFormatError("cannot read %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:
@@ -104,11 +105,14 @@ def format_point_set(S: PointSet, comment: str = "") -> str:
 
 
 def save_point_set(S: PointSet, path, comment: str = "") -> None:
-    Path(path).write_text(format_point_set(S, comment), encoding="ascii")
+    with open(os.fspath(path), "w", encoding="ascii") as fh:
+        fh.write(format_point_set(S, comment))
 
 
 def packaged_point_set(name: str) -> PointSet:
     """Load one of the point sets shipped under ``kedges/data``."""
+    from importlib import resources
+
     path = resources.files(__package__).joinpath("data").joinpath(name)
     text = path.read_text(encoding="ascii")
     return parse_point_set(text)

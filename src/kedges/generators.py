@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .bounds import crossing_lower_bound_exact
 from .crossings import is_convex_quadrilateral
 from .geometry import Point, PointSet, extends_general_position
 
@@ -144,6 +143,8 @@ def _grid_search(n: int, seed: int, scale: int) -> PointSet:
     no n-point set beats.  So the result is the set a full count of
     every subset (or sample) would pick.
     """
+    from .bounds import crossing_lower_bound_exact
+
     r = scale or 2
     if r > _GRID_MAX_RADIUS:
         raise ValueError("grid radius exceeds %d" % _GRID_MAX_RADIUS)

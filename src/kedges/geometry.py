@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from math import atan2, gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -134,6 +133,8 @@ def _clear_denominators(coords) -> Tuple[Point, ...]:
     """Scale rational coordinates to integers by one uniform positive
     factor: the least common denominator of the non-integer ones.
     Integer coordinates are only multiplied by it."""
+    from fractions import Fraction
+
     pairs = [
         (x if isinstance(x, int) else Fraction(x), y if isinstance(y, int) else Fraction(y))
         for x, y in coords

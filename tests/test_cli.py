@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -248,6 +250,147 @@ def test_cross_check_outputs_are_pinned(capsys, tmp_path):
     for argv, out in expected.items():
         code, got, _ = run(capsys, list(argv))
         assert (code, got) == (0, out), argv
+
+
+_GENERATE_USAGE = (
+    "usage: kedges generate [-h] --kind\n"
+    "                       {random-disc,convex,three-cluster,grid-search} --n N\n"
+    "                       [--seed SEED] [--scale SCALE] [--out FILE]\n"
+)
+
+
+def test_cli_surface_is_pinned(capsys, monkeypatch, hexagon_file):
+    # help, usage errors and the exit-1 errors, byte for byte: the
+    # handlers import their modules late, and none of this may move
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = "{census,crossings,bounds,reduce,generate,epsilon,verify}"
+    expected = {
+        ("--help",): (0, (
+            "usage: kedges [-h]\n              %s ...\n\n"
+            "Exact edge censuses, crossing numbers, bounds and hull reduction for planar\n"
+            "point sets in general position.\n\npositional arguments:\n  %s\n"
+            "    census              edge vector and halving count of a point set\n"
+            "    crossings           rectilinear crossing number of a point set\n"
+            "    bounds              lower-bound table for n points\n"
+            "    reduce              reduce the convex hull to a triangle\n"
+            "    generate            emit a deterministic point set\n"
+            "    epsilon             asymptotic gain integral\n"
+            "    verify              cross-check every computation on a point set\n\n"
+            "options:\n  -h, --help            show this help message and exit\n"
+        ) % (commands, commands), ""),
+        ("generate", "--help"): (0, _GENERATE_USAGE + (
+            "\noptions:\n  -h, --help            show this help message and exit\n"
+            "  --kind {random-disc,convex,three-cluster,grid-search}\n"
+            "  --n N                 number of points (>= 3)\n"
+            "  --seed SEED           generator seed\n"
+            "  --scale SCALE         coordinate radius (0 = per-kind default)\n"
+            "  --out FILE            write to a file instead of stdout\n"
+        ), ""),
+        ("generate", "--kind", "bogus", "--n", "5"): (2, "", _GENERATE_USAGE + (
+            "kedges generate: error: argument --kind: invalid choice: 'bogus' (choose from"
+            " 'random-disc', 'convex', 'three-cluster', 'grid-search')\n"
+        )),
+        # a GenerationError
+        ("generate", "--kind", "random-disc", "--n", "5000", "--scale", "3"): (
+            1, "", "error: could not place 5000 points in general position in a disc of radius 3\n"
+        ),
+    }
+    for argv, want in expected.items():
+        assert run(capsys, list(argv)) == want, argv
+
+    import kedges.crossings
+
+    def broken(e):
+        raise kedges.crossings.CensusError("identity yielded -1 crossings for n=%d" % e.n)
+
+    monkeypatch.setattr(kedges.crossings, "crossings_from_census", broken)
+    assert run(capsys, ["crossings", hexagon_file]) == (
+        1, "", "error: identity yielded -1 crossings for n=6\n"
+    )
+
+
+_FOOTPRINT = r"""
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("kedges."))
+
+import kedges
+seen = {"import kedges": loaded()}
+import kedges.cli
+seen["import kedges.cli"] = loaded()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[" ".join(argv)] = [kedges.cli.main(argv), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # one fresh interpreter per subcommand; generate runs a non-searching
+    # kind, then grid search, which alone needs the bounds module
+    path = str(tmp_path / "p.txt")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("4\n0 0\n10 1\n3 9\n4 3\n")
+    runs = [
+        [["census", path]],
+        [["crossings", path]],
+        [["bounds", "--n", "6"]],
+        [["reduce", path]],
+        [["generate", "--kind", "convex", "--n", "4"], ["generate", "--kind", "grid-search", "--n", "4"]],
+        [["verify", path]],
+        [["epsilon", "--t0", "0.4"]],
+    ]
+    import kedges
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kedges.__file__)))
+    seen = {}
+    for argvs in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen.update(json.loads(proc.stdout))
+    assert seen.pop("import kedges") == []
+    assert seen.pop("import kedges.cli") == ["kedges.cli"]
+    for command, (code, modules) in seen.items():
+        assert code == 0, command
+        name = command.split()[0] if "grid-search" not in command else "grid-search"
+        assert ("kedges.motion" in modules) == (name == "reduce"), command
+        assert ("kedges.checks" in modules) == (name == "verify"), command
+        assert ("kedges.bounds" in modules) == (name in ("bounds", "epsilon", "verify", "grid-search")), command
+
+
+def test_package_exports_resolve_lazily_to_their_home_objects(monkeypatch):
+    import kedges
+
+    assert kedges.__all__ == sorted(kedges._HOME)
+    for name in kedges.__all__:
+        home = importlib.import_module("kedges." + kedges._HOME[name])
+        obj = getattr(home, name)
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+        # drop the cached binding so each lookup goes through __getattr__
+        monkeypatch.delitem(vars(kedges), name, raising=False)
+        assert getattr(kedges, name) is obj, name
+        monkeypatch.delitem(vars(kedges), name)
+        ns = {}
+        exec("from kedges import %s" % name, ns)
+        assert ns[name] is obj, name
+    for name in kedges.__all__:
+        monkeypatch.delitem(vars(kedges), name)
+    assert set(kedges.__all__) <= set(dir(kedges))
+    ns = {}
+    exec("from kedges import *", ns)
+    assert {k: v for k, v in ns.items() if k != "__builtins__"} == {
+        name: getattr(importlib.import_module("kedges." + kedges._HOME[name]), name)
+        for name in kedges.__all__
+    }
+    ns = {}
+    exec("from kedges import census", ns)
+    assert ns["census"] is importlib.import_module("kedges.census")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kedges.no_such_name
 
 
 # ------------------------------------------------------------- fuzz
