@@ -6,11 +6,13 @@ counts e_0..e_m with m = floor((n-2)/2); their prefix sums are the
 cumulative counts E_0..E_m.  Two independent routes are provided: a
 quadratic-per-point brute force and an O(n^2 log n) rotational sweep
 that swaps each pair of points once, in the order of their directions
-(``oriented_edge_counts``).  The sweep sorts directions by an exact
-integer key that grows with the coordinates, and so do its memory and
-time.  ``left_counts`` gives the sides of the lines through one point,
-by rank over one exact sort of them (``line_order``); a matrix of its
-rows gives the census again (``oriented_counts_from_rows``).
+(``oriented_edge_counts``).  The sweep sorts directions, in two
+sectors of about n^2/4 pairs each, by an exact integer key
+(geometry.sweep_frame, which validation shares) that grows with the
+coordinates, and so do its memory and time.  ``left_counts`` gives
+the sides of the lines through one point, by rank over one exact sort
+of them (``line_order``); a matrix of its rows gives the census again
+(``oriented_counts_from_rows``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .geometry import (
     cross,
     line_order,
     orientation,
+    sweep_frame,
 )
 
 
@@ -106,21 +109,14 @@ def cumulative(e: EdgeVector) -> CumulativeEdgeVector:
 
 
 def edge_depth(S: PointSet, p: int, q: int) -> int:
-    """Depth of the segment (p, q): the size of its smaller open side."""
+    """Depth of the segment (p, q): the size of its smaller open side,
+    by one integer cross product per point (p and q are on no side)."""
     if p == q:
         raise ValueError("edge needs two distinct indices")
-    a, b = S[p], S[q]
-    left = 0
-    right = 0
-    for i in range(len(S)):
-        if i == p or i == q:
-            continue
-        o = orientation(a, b, S[i])
-        if o == Orientation.CCW:
-            left += 1
-        else:
-            right += 1
-    return min(left, right)
+    (ax, ay), (bx, by) = S[p], S[q]
+    ux, uy = bx - ax, by - ay
+    left = len([c for c in S.points if ux * (c.y - ay) > uy * (c.x - ax)])
+    return min(left, len(S) - 2 - left)
 
 
 def edge_vector_bruteforce(S: PointSet) -> EdgeVector:
@@ -167,72 +163,47 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     points strictly to the right of the directed line p -> q, by one
     rotational sweep that visits each pair once, O(n^2 log n).
 
-    Sorted by (y, x), every pair i < j points into [0, pi) and the
-    order is that of the points along the normal of a direction just
-    below 0.  Turning the direction counterclockwise to pi swaps each
-    pair once, when the direction reaches i -> j; the pair is then
-    adjacent, at ranks a and a + 1, so a points lie right of i -> j
-    and n - 2 - a left of it.  G[a] counts these swaps, and
+    Sorted by (y, x) (sweep_frame), every pair i < j points into
+    [0, pi) and the order is that of the points along the normal of a
+    direction just below 0.  Turning the direction counterclockwise to
+    pi swaps each pair once, when the direction reaches i -> j; the
+    pair is then adjacent, at ranks a and a + 1, so a points lie right
+    of i -> j and n - 2 - a left of it.  G[a] counts these swaps, and
     H[r] = G[r] + G[n - 2 - r].  Parallel pairs are disjoint, so they
     swap in either order.
 
-    The pairs are walked in four sectors of [0, pi), cut at the
-    directions (1, 0), (w, h), (0, 1) and (-w, h), where w and h are the
-    width and height of the bounding box, and selected exactly by
-    comparing h*x - w*y, x and h*x + w*y of the two points.  The
-    diagonals of the box spread the pairs of flat or tall sets, such as
-    points on a parabola, over all four sectors.
-
-    Each sector is sorted by an exact integer key.  In the first two
-    sectors every vector (dx, dy) has 0 < dx <= w, and its direction
-    grows with dy/dx; in the last two 0 < dy <= h, and it grows with
-    -dx/dy.  So each direction is a fraction num/den whose order in its
-    sector is the direction's, with 0 < den < 2^b, b the bit length of
-    max(w, h).  Two such fractions are equal or differ by at least
-    1/(den*den') > 2^-2b, so the keys floor(num * 2^2b / den) are equal
-    exactly when the directions are parallel and are otherwise in the
-    directions' order.  Every comparison is between integers; the walk
-    still checks that every swap is of adjacent points.
+    The pairs are walked in two sectors of [0, pi), cut at the vertical
+    and told apart by one comparison of x: in [0, pi/2) dx > 0 and the
+    direction grows with dy/dx, in [pi/2, pi) dx <= 0 < dy and it grows
+    with -dx/dy.  Each sector is sorted by the exact integer key
+    (num << s) // den of that fraction (sweep_frame; den <= w or h, the
+    sides of the bounding box), so keys tie exactly for parallel pairs.
+    The walk still checks that every swap is of adjacent points.
 
     Memory is traded for time: the sweep holds one sector at a time,
-    about n^2/8 entries (key, i, j) when the directions spread over
-    the sectors (all n(n-1)/2 at worst), where a sort per point held n.
-    A key has up to about 3b bits, so both grow with the coordinates:
-    on random-disc sets the peak traced allocation of a call at n = 160
-    is 371 KB at radius 2^10 and 1.4 MB at radius 2^1100, and 7.8 MB at
-    n = 640, radius 2^10 (Python 3.11, 2 CPUs).
+    about n^2/4 entries (key, i, j), all n(n-1)/2 at worst (a convex
+    curve rising to the right).  A key has up to about 3b bits, b the
+    bit length of max(w, h).  On random-disc sets the peak traced
+    allocation of a call at radius 2^10 and 2^1100 is 716 KB and 2.5 MB
+    at n = 160, 3.3 and 10.7 MB at n = 320 and 14.8 and 43.5 MB at
+    n = 640 (Python 3.11, 2 CPUs), about twice that of four sectors.
     """
     n = len(S)
     if n < 3:
         raise ValueError("census needs at least 3 points")
-    yx = sorted((q.y, q.x) for q in S)
-    ys = [y for y, _ in yx]
-    xs = [x for _, x in yx]
-    w, h = max(xs) - min(xs), ys[-1] - ys[0]
-    s = 2 * max(w, h).bit_length()
-    # i -> j is in sector k exactly when cuts[k][j] <= cuts[k][i] and
-    # cuts[k + 1][j] > cuts[k + 1][i]; the first and last rows always pass
-    cuts = (
-        [0] * n,
-        [h * x - w * y for y, x in yx],
-        xs,
-        [h * x + w * y for y, x in yx],
-        range(n),
-    )
-    # the key's (numerator, denominator) coordinates: dy/dx, then -dx/dy
-    flat = (ys, xs)
-    tall = ([-x for x in xs], ys)
+    yx, ys, xs, s = sweep_frame(S)
     pos = list(range(n))
     G = [0] * (n - 1)
-    for lo, hi, (nums, dens) in zip(cuts, cuts[1:], (flat, flat, tall, tall)):
+    for flat in (True, False):
         sector = []
         for i in range(n - 1):
-            num_i, den_i, lo_i, hi_i = nums[i], dens[i], lo[i], hi[i]
-            sector += [
-                (((nums[j] - num_i) << s) // (dens[j] - den_i), i, j)
-                for j in range(i + 1, n)
-                if lo[j] <= lo_i and hi[j] > hi_i
-            ]
+            y_i, x_i = yx[i]
+            if flat:  # [0, pi/2): dx > 0, keyed by dy/dx
+                sector += [(((ys[j] - y_i) << s) // (xs[j] - x_i), i, j)
+                           for j in range(i + 1, n) if xs[j] > x_i]
+            else:  # [pi/2, pi): dx <= 0 < dy, keyed by -dx/dy
+                sector += [(((x_i - xs[j]) << s) // (ys[j] - y_i), i, j)
+                           for j in range(i + 1, n) if xs[j] <= x_i]
         sector.sort(key=itemgetter(0))
         _walk(sector, pos, G)
     return tuple(G[r] + G[n - 2 - r] for r in range(n - 1))

@@ -9,6 +9,7 @@ preserves every orientation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from math import atan2, gcd, lcm
@@ -78,7 +79,8 @@ def extends_general_position(points: Sequence[Point], p: Point) -> bool:
     Each difference vector q - p is reduced by its gcd to a primitive
     direction with a fixed sign; p is collinear with two points exactly
     when two of these directions coincide.  Costs len(points) integer
-    gcds and one set.
+    gcds and one set.  Its callers test one point, so unlike
+    validate_general_position they have no (y, x) sort to share.
     """
     px, py = p.x, p.y
     seen = set()
@@ -108,14 +110,31 @@ def _first_collinear_triple(points: Sequence[Point]) -> Optional[Tuple[int, int,
     return None
 
 
+def sweep_frame(points: Sequence[Point]) -> Tuple[List[Tuple[int, int]], List[int], List[int], int]:
+    """The points as (y, x) pairs in (y, x) order, so that every pair
+    i < j points into [0, pi), their ys and xs, and the shift s = 2b, b
+    the bit length of max(w, h, 1) for the w x h box around them.  A
+    fraction num/den with 0 < den <= max(w, h) has the exact key
+    (num << s) // den: two such fractions are equal or differ by at
+    least 1/(den*den') > 2^-s, so their keys are equal exactly when
+    they are, and otherwise in their order."""
+    yx = sorted((p.y, p.x) for p in points)
+    ys = [y for y, _ in yx]
+    xs = [x for _, x in yx]
+    return yx, ys, xs, 2 * max(max(xs) - min(xs), ys[-1] - ys[0], 1).bit_length()
+
+
 def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, int, int]]:
     """Return a witnessing collinear index triple, or None if the set is fine.
 
     Duplicate points raise DuplicatePointError naming the first repeated
-    pair of indices.  Collinearity is decided in O(n^2) gcds, each point
-    against the points after it; only when that finds a collinear triple
-    does the cubic scan run, so the witness is the lexicographically
-    first collinear index triple.
+    pair of indices.  Collinearity is decided in O(n^2) after one sort,
+    shared with the census, by its key (sweep_frame) instead of a gcd
+    per pair: in (y, x) order three points are collinear exactly when
+    three share a y or when two points of greater y give one point i
+    equal keys ((x - x_i) << s) // (y - y_i).  Only then does the cubic
+    scan run, so the witness is the lexicographically first collinear
+    index triple.
     """
     seen = {}
     for i, p in enumerate(points):
@@ -123,8 +142,13 @@ def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, in
         if key in seen:
             raise DuplicatePointError((seen[key], i))
         seen[key] = i
-    for i, p in enumerate(points):
-        if not extends_general_position(points[i + 1:], p):
+    n = len(points)
+    if n < 3:
+        return None
+    yx, ys, _, s = sweep_frame(points)
+    for i, (y_i, x_i) in enumerate(yx):
+        k = bisect_right(ys, y_i)  # the first point of greater y
+        if k > i + 2 or len({((x - x_i) << s) // (y - y_i) for y, x in yx[k:]}) < n - k:
             return _first_collinear_triple(points)
     return None
 

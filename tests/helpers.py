@@ -20,6 +20,7 @@ from kedges import (
     PointSet,
     cross,
     crossings_bruteforce,
+    extends_general_position,
     generate,
     max_depth,
     orientation,
@@ -80,6 +81,41 @@ def random_point_set(rng, n, radius=50):
             return PointSet(sorted(pts))
         except GeneralPositionError:
             continue
+
+
+def farey_points(rng, b, m, image, collinear=False):
+    """A near-collinear triple A, A + (q, p), A + (q', p') with
+    q*p' - p*q' = 1 and q, q' below 2^b, among m random points of the
+    square [0, 2^b - 1]^2, mapped by one of the 8 symmetries of that
+    square, as a shuffled list of (x, y).  The triple's three directions
+    differ by 1/(q*q') or less, the least gap the census's sort key and
+    validation must still resolve.  With ``collinear`` the third point
+    is A + 2(q, p) instead, so the triple is exactly collinear (and the
+    only collinear triple)."""
+    N = 2 ** b - 1
+    while True:
+        q2 = rng.randint(N - N // 16, N)
+        p2 = rng.randint(q2 // 8, q2 // 2)
+        if gcd(p2, q2) != 1:
+            continue
+        q = pow(p2, -1, q2)  # p2 * q = 1 (mod q2)
+        if q > N // 2:
+            break
+    p = (p2 * q - 1) // q2
+    ax, ay = rng.randint(0, N - q2), rng.randint(0, N - p2)
+    third = Point(ax + 2 * q, ay + 2 * p) if collinear else Point(ax + q2, ay + p2)
+    pts = [Point(ax, ay), Point(ax + q, ay + p), third]
+    while len(pts) < 3 + m:
+        c = Point(rng.randint(0, N), rng.randint(0, N))
+        if extends_general_position(pts, c):
+            pts.append(c)
+    swap, fx, fy = image >> 2, image >> 1 & 1, image & 1
+    out = []
+    for c in pts:
+        x, y = (c.y, c.x) if swap else (c.x, c.y)
+        out.append((N - x if fx else x, N - y if fy else y))
+    rng.shuffle(out)
+    return out
 
 
 def convex_polygon(n, scale=1):

@@ -1,7 +1,7 @@
 """Edge-depth censuses: brute force vs sweep, invariances, good edges."""
 
 import random
-from math import comb, gcd
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +29,10 @@ from kedges import (
 )
 from kedges import checks
 from kedges.census import left_counts
-from kedges.geometry import extends_general_position
 from helpers import (
     convex_polygon,
     fan_point_set,
+    farey_points,
     line_order_sets,
     per_point_oriented_counts,
     random_point_set,
@@ -144,45 +144,14 @@ def test_oriented_counts_match_the_row_histogram():
     assert parities == {0, 1}
 
 
-def farey_set(rng, b, m, image):
-    """A near-collinear triple A, A + (q, p), A + (q', p') with
-    q*p' - p*q' = 1 and q, q' below 2^b, among m random points of the
-    square [0, 2^b - 1]^2, mapped by one of the 8 symmetries of that
-    square.  The triple's three directions differ by 1/(q*q') or less,
-    the least gap the census's sort key must still resolve."""
-    N = 2 ** b - 1
-    while True:
-        q2 = rng.randint(N - N // 16, N)
-        p2 = rng.randint(q2 // 8, q2 // 2)
-        if gcd(p2, q2) != 1:
-            continue
-        q = pow(p2, -1, q2)  # p2 * q = 1 (mod q2)
-        if q > N // 2:
-            break
-    p = (p2 * q - 1) // q2
-    ax, ay = rng.randint(0, N - q2), rng.randint(0, N - p2)
-    pts = [Point(ax, ay), Point(ax + q, ay + p), Point(ax + q2, ay + p2)]
-    while len(pts) < 3 + m:
-        c = Point(rng.randint(0, N), rng.randint(0, N))
-        if extends_general_position(pts, c):
-            pts.append(c)
-    swap, fx, fy = image >> 2, image >> 1 & 1, image & 1
-    out = []
-    for c in pts:
-        x, y = (c.y, c.x) if swap else (c.x, c.y)
-        out.append((N - x if fx else x, N - y if fy else y))
-    rng.shuffle(out)
-    return PointSet(out)
-
-
 @pytest.mark.parametrize("b", [10, 200, 1100])
 def test_sweep_resolves_the_nearest_directions(b):
-    # the 8 symmetries put the triple's directions into every sector of
-    # the sweep, each in both orientations
+    # the 8 symmetries put the triple's directions into both sectors of
+    # the sweep, near either end of each
     rng = random.Random(1700 + b)
     for image in range(8):
         for m in (3, 9, 25):
-            S = farey_set(rng, b, m, image)
+            S = PointSet(farey_points(rng, b, m, image))
             H = oriented_edge_counts(S)
             assert H == per_point_oriented_counts(S)
             if len(S) <= 12:
