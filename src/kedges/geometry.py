@@ -128,8 +128,8 @@ def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, in
     """Return a witnessing collinear index triple, or None if the set is fine.
 
     Duplicate points raise DuplicatePointError naming the first repeated
-    pair of indices.  Collinearity is decided in O(n^2) after one sort,
-    shared with the census, by its key (sweep_frame) instead of a gcd
+    pair of indices.  Collinearity is decided in O(n^2) on the census's
+    frame (sweep_frame: one sort and an exact key) instead of by a gcd
     per pair: in (y, x) order three points are collinear exactly when
     three share a y or when two points of greater y give one point i
     equal keys ((x - x_i) << s) // (y - y_i).  Only then does the cubic
