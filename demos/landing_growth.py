@@ -5,13 +5,16 @@ from 6 to 40 points and radii from 20 to 2^40 (log-uniform), checks
 each result (triangular hull, every event lowers the crossing count,
 final crossings equal the identity count of the output, the trace
 replays onto the output) and prints the worst growth in coordinate
-bits, output minus input, with the set it came from, and the total
-time.  Each landing stops at the simplest rational before the moving
-point's next event, so the growth stays small.
+bits, output minus input, with the set it came from, the total time
+and one sha256 digest over the repr of every output set and trace, so
+two versions of the reduction can be compared by one line.  Each
+landing stops at the simplest rational before the moving point's next
+event, so the growth stays small.
 
     PYTHONPATH=src python demos/landing_growth.py
 """
 
+import hashlib
 import random
 import time
 from math import log2
@@ -50,6 +53,7 @@ def main():
     rng = random.Random(SEED)
     worst = None
     failed = 0
+    digest = hashlib.sha256()
     start = time.perf_counter()
     for _ in range(SETS):
         n = rng.randint(6, 40)
@@ -57,6 +61,8 @@ def main():
         seed = rng.randrange(2 ** 32)
         S = generate(GeneratorSpec("random-disc", n, seed, scale=radius))
         T, trace = reduce_to_triangle(S)
+        digest.update(repr(T).encode())
+        digest.update(repr(trace).encode())
         found = problems(S, T, trace)
         if found:
             failed += 1
@@ -69,6 +75,7 @@ def main():
     print("%d sets, %d failed checks, %.1f s" % (SETS, failed, elapsed))
     print("worst growth %d bits: random-disc --n %d --seed %d --scale %d (%d -> %d bits)"
           % (growth, n, seed, radius, b_in, b_out))
+    print("sha256 of outputs and traces: %s" % digest.hexdigest())
     return 1 if failed else 0
 
 

@@ -40,13 +40,12 @@ _EXPORTS = {
     "motion": (
         "ConfigSummary", "HalvingRay", "MotionStep", "MutationEvent", "Ray", "ReductionTrace",
         "SimultaneousEventError", "apply_motion", "config_summary", "halving_ray",
-        "halving_ray_pair", "halving_ray_stable", "is_halving_ray", "motion_events",
-        "reduce_to_triangle",
+        "halving_ray_stable", "is_halving_ray", "motion_events", "reduce_to_triangle",
     ),
     "generators": ("KINDS", "GenerationError", "GeneratorSpec", "generate"),
     "fileio": (
         "PointSetFormatError", "format_point_set", "load_point_set", "packaged_point_set",
-        "parse_point_set", "save_point_set",
+        "parse_point_set",
     ),
     "checks": ("containing_triangle", "verify_point_set"),
 }

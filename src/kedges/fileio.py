@@ -104,11 +104,6 @@ def format_point_set(S: PointSet, comment: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def save_point_set(S: PointSet, path, comment: str = "") -> None:
-    with open(os.fspath(path), "w", encoding="ascii") as fh:
-        fh.write(format_point_set(S, comment))
-
-
 def packaged_point_set(name: str) -> PointSet:
     """Load one of the point sets shipped under ``kedges/data``."""
     from importlib import resources

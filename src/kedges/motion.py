@@ -8,6 +8,13 @@ orientation; if the point playing the center role sees k other points
 on its side before the flip, the crossing count changes by 2k - n + 3
 and the depth census shifts by one unit between adjacent levels.
 
+One integer kernel, ``_crossings``, finds the lines a motion crosses:
+in one pass over the pairs it gives each crossing's parameter, centre
+and side, keeps those up to a stop and returns the next parameter
+beyond it.  ``_sorted_events`` orders them exactly and reads k from the
+left-count rows; the reduction, ``motion_events`` and
+``halving_ray_stable`` all go through the kernel.
+
 A halving ray of an extreme point splits the remaining points as
 evenly as possible and is oriented away from the set.  Motion along a
 halving ray only ever decreases the crossing count, which drives the
@@ -256,40 +263,34 @@ def _ray_pair(
     return ray_p, ray_q
 
 
-def halving_ray_pair(
-    S: PointSet, p: int, q: int, attempt_p: int = 0, attempt_q: int = 0
-) -> Tuple[HalvingRay, HalvingRay]:
-    """Halving rays for two non-consecutive extreme points whose tails
-    enter the side of the line pq holding at least ceil((n-2)/2) points
-    and whose supporting lines therefore cross inside the hull.
-    """
-    hull = convex_hull(S)
-    if p not in hull or q not in hull:
-        raise ValueError("both points must be extreme")
-    ip, iq = hull.index(p), hull.index(q)
-    if (ip - iq) % len(hull) in (1, len(hull) - 1):
-        raise ValueError("points %d and %d are consecutive on the hull" % (p, q))
-    a, b = S[p], S[q]
-    h = _heavy_side(S, p, q, sum(1 for c in S if cross(a.x, a.y, b.x, b.y, c.x, c.y) > 0))
-    return _ray_pair(S, hull, p, q, h, attempt_p, attempt_q)
+def _crossings(
+    S: PointSet, ray: Ray, stop: Optional[Fraction]
+) -> Tuple[List[Tuple[int, int, Tuple[int, int], int, bool]], Optional[Fraction]]:
+    """The lines through two other points that the ray's anchor p crosses
+    for parameters t in (0, stop] (every t > 0 when ``stop`` is None),
+    unsorted, as (num, den, (i, j), centre, A > 0) with t = num/den,
+    den > 0; and the least parameter beyond ``stop`` (None if there is
+    none, or no stop).  One pass over the pairs, in integers.
 
-
-def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[int, int, Tuple[int, int]]]:
-    """All positive parameters num/den (den > 0) where the moving point
-    crosses a line through two other points, with the pair, unsorted.
-
-    With a = x_i - p0 and b = x_j - p0, p0 + t*d is on line ij when
+    With a = x_i - p and b = x_j - p, p + t*d is on line ij when
     cross(a - t*d, b - t*d) = 0, at t = -A/B with A = cross(a, b) and
     B = cross(b - a, d).  Each point's offset across the ray line,
     w_i = cross(a, d), is taken once, and B = w_j - w_i, so only A needs
     products per pair.  B = 0 (line ij parallel to the ray): no event.
+    The crossing lies at x_i + lam*(x_j - x_i) with lam = -w_i/B; the
+    centre, the middle point of the collinear triple, is p when
+    0 < lam < 1, i when lam < 0 and j otherwise.  A > 0 says that p
+    starts left of i -> j.
     """
     p = ray.anchor
     dx, dy = ray.direction
     ox, oy = S[p].x, S[p].y
     rel = [(i, q.x - ox, q.y - oy) for i, q in enumerate(S) if i != p]
     rel = [(i, ax, ay, ax * dy - ay * dx) for i, ax, ay in rel]
-    out = []
+    if stop is not None:
+        sn, sd = stop.numerator, stop.denominator
+    kept = []
+    nxt = None
     for k, (i, ax, ay, wi) in enumerate(rel):
         for j, bx, by, wj in rel[k + 1:]:
             B = wj - wi
@@ -298,72 +299,50 @@ def _event_parameters(S: PointSet, ray: Ray) -> List[Tuple[int, int, Tuple[int, 
             A = ax * by - ay * bx
             if (A > 0) == (B > 0):
                 continue
-            out.append((-A, B, (i, j)) if B > 0 else (A, -B, (i, j)))
-    return out
+            num, den, lam = (-A, B, -wi) if B > 0 else (A, -B, wi)
+            if stop is None or num * sd <= sn * den:
+                centre = p if 0 < lam < den else i if lam < 0 else j
+                kept.append((num, den, (i, j), centre, A > 0))
+            elif nxt is None or num * nxt[1] < nxt[0] * den:
+                nxt = (num, den)
+    return kept, None if nxt is None else Fraction(*nxt)
 
 
-def _classify(
-    S: PointSet, ray: Ray, t: Fraction, pair: Tuple[int, int], L
-) -> MutationEvent:
-    """The event at parameter t where the moving point crosses the line
-    through ``pair``, decided by integer signs alone.
-
-    The center is the middle point of the collinear triple at t.  Before
-    t no other point changes side of the line through the two non-center
-    points (that would be an earlier event), and at t that line is the
-    line through ``pair``.  So k counts the points of S on the moving
-    point's side of that line when it is the center, and on the other
-    side otherwise: both are read from L[i][j], the points left of the
-    directed line i -> j.  L holds left_counts rows of S, the set before
-    the motion: the reduction's matrix, advanced only after the whole
-    step (``_advance``), or the rows motion_events builds.  The moving
-    point crosses line ij only at this event, so L[i][j] still holds
-    the count just before t.
-    """
-    p = ray.anchor
-    dx, dy = ray.direction
-    i, j = pair
-    a, b, p0 = S[i], S[j], S[p]
-    # the event lies at a + lam*(b - a) with lam = num / den
-    num = (p0.x - a.x) * dy - (p0.y - a.y) * dx
-    den = (b.x - a.x) * dy - (b.y - a.y) * dx
-    if den < 0:
-        num, den = -num, -den
-    if 0 < num < den:
-        center = p
-    elif num < 0:
-        center = i
-    else:
-        center = j
-    n = len(S)
-    pos = L[i][j]
-    neg = n - 2 - pos
-    p_pos = cross(a.x, a.y, b.x, b.y, p0.x, p0.y) > 0
-    if center == p:
-        k = (pos if p_pos else neg) - 1
-    else:
-        k = neg if p_pos else pos
-    return MutationEvent(
-        moving=p, pair=pair, t=t, center=center, k=k, crossing_delta=2 * k - n + 3
-    )
-
-
-def _sorted_events(
-    S: PointSet, ray: Ray, raw: List[Tuple[int, int, Tuple[int, int]]], L
-) -> List[MutationEvent]:
-    """The events of ``raw`` (from _event_parameters) classified against
-    the left-count rows L of S, in increasing order of parameter.
+def _sorted_events(S: PointSet, ray: Ray, raw, L) -> List[MutationEvent]:
+    """The crossings ``raw`` (from _crossings) as events, in increasing
+    order of parameter, with k read from the left-count rows L of S.
 
     The parameters num/den are ordered exactly by the sign of
     num * den' - num' * den, with no Fraction built for the comparison;
     two equal ones raise SimultaneousEventError.  Only the events get a
     Fraction.
+
+    Before the event no other point changes side of the line through
+    the two non-centre points (that would be an earlier event), and at
+    the event that line is the line through the pair.  So k counts the
+    points of S on the moving point's side of that line when it is the
+    centre, and on the other side otherwise: both are read from
+    L[i][j], the points left of the directed line i -> j.  L holds
+    left_counts rows of S, the set before the motion: the reduction's
+    matrix, advanced only after the whole step (``_advance``), or the
+    rows motion_events builds.  The moving point crosses line ij only at
+    this event, so L[i][j] still holds the count just before it.
     """
     raw = sorted(raw, key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
     for u, v in zip(raw, raw[1:]):
         if u[0] * v[1] == v[0] * u[1]:
             raise SimultaneousEventError(Fraction(u[0], u[1]), [u[2], v[2]], ray.anchor)
-    return [_classify(S, ray, Fraction(num, den), pair, L) for num, den, pair in raw]
+    p, n = ray.anchor, len(S)
+    events = []
+    for num, den, (i, j), centre, p_left in raw:
+        pos = L[i][j]
+        neg = n - 2 - pos
+        if centre == p:
+            k = (pos if p_left else neg) - 1
+        else:
+            k = neg if p_left else pos
+        events.append(MutationEvent(p, (i, j), Fraction(num, den), centre, k, 2 * k - n + 3))
+    return events
 
 
 def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
@@ -375,10 +354,9 @@ def motion_events(S: PointSet, p: int, ray: Ray, stop) -> List[MutationEvent]:
     stop = Fraction(stop)
     if stop <= 0:
         raise ValueError("stop must be positive")
-    sn, sd = stop.numerator, stop.denominator
-    raw = [ev for ev in _event_parameters(S, ray) if ev[0] * sd <= sn * ev[1]]
+    raw, _ = _crossings(S, ray, stop)
     # only the rows of the pairs' first points are read
-    rows = {i: left_counts(S, i) for i in {pair[0] for _, _, pair in raw}}
+    rows = {i: left_counts(S, i) for i in {pair[0] for _, _, pair, _, _ in raw}}
     return _sorted_events(S, ray, raw, rows)
 
 
@@ -478,10 +456,11 @@ def _land(
     The far offset is the least signed offset cross(h, x - a) over the
     points x of S outside ``pair``.  The anchor reaches it at t_low, and
     its first event after t_low is at t_next (none: no upper end).  The
-    stop is the simplest rational in (t_low, t_next).  One
-    _event_parameters pass gives t_next and the step's events, those up
-    to t_low, classified against L, the left-count matrix of S.  Returns
-    the moved set, its matrix (a new one, ``_advance``) and the step.
+    stop is the simplest rational in (t_low, t_next).  One _crossings
+    pass gives t_next and the step's crossings, those up to t_low, which
+    _sorted_events orders and reads against L, the left-count matrix of
+    S.  Returns the moved set, its matrix (a new one, ``_advance``) and
+    the step.
 
     The landing a' keeps general position.  The stop lies strictly
     between event parameters, so a' is on no line through two other
@@ -497,16 +476,8 @@ def _land(
     if rate >= 0 or low >= 0:
         raise RuntimeError("internal: the ray does not head past the far side of the set")
     t_low = Fraction(low, rate)
-    ln, ld = t_low.numerator, t_low.denominator
-    kept = []
-    nxt = None
-    for ev in _event_parameters(S, ray):
-        num, den, _ = ev
-        if num * ld <= ln * den:
-            kept.append(ev)
-        elif nxt is None or num * nxt[1] < nxt[0] * den:
-            nxt = ev
-    stop = _simplest_between(t_low, None if nxt is None else Fraction(nxt[0], nxt[1]))
+    kept, t_next = _crossings(S, ray, t_low)
+    stop = _simplest_between(t_low, t_next)
     events = _sorted_events(S, ray, kept, L)
     step = MotionStep(ray.anchor, ray, stop, tuple(events))
     return apply_motion(S, ray.anchor, ray, stop), _advance(L, S, step), step
@@ -610,16 +581,15 @@ def halving_ray_stable(S: PointSet) -> bool:
     """For a set with a triangular hull: whether no motion of an
     extreme point along its halving ray can ever change the order type.
 
-    Equivalent to requiring, for every extreme p, that the angular
-    order of the other points around p coincides with their order in
-    the direction orthogonal to p's halving ray: a pair disagreeing
-    between the two orders is exactly a pending mutation event.
+    For each hull vertex p, one _crossings pass with no stop lists every
+    line through two other points that p crosses at some t > 0 on its
+    first halving ray, ``halving_ray(S, p)``; the set is stable when all
+    three lists are empty.  Equivalently, the angular order of the other
+    points around p coincides with their order in the direction
+    orthogonal to the ray: a pair disagreeing between the two orders is
+    exactly a pending mutation event.
     """
     hull = convex_hull(S)
     if len(hull) != 3:
         raise ValueError("defined for sets with a triangular hull")
-    for p in hull:
-        ray = halving_ray(S, p)
-        if _event_parameters(S, ray):
-            return False
-    return True
+    return not any(_crossings(S, halving_ray(S, p), None)[0] for p in hull)

@@ -276,10 +276,19 @@ def line_order_sets(draw):
         reject()
 
 
-def pairwise_event_parameters(S, ray):
-    """Oracle for motion._event_parameters: each pair's A = cross(a, b)
+def pairwise_crossings(S, ray):
+    """Oracle for motion._crossings with no stop: each pair's A = cross(a, b)
     and B = cross(b - a, d) computed from the points' coordinates, with
-    no per-point offsets."""
+    no per-point offsets, as (num, den, (i, j), centre, side).
+
+    The centre is the middle point of the collinear triple, found from
+    the moving point's position P at t = num/den by its projection
+    mu = (P - a).(b - a) / |b - a|^2 onto line ij, compared exactly in
+    integers scaled by den * |b - a|^2: p when 0 < mu < 1, i when
+    mu < 0, j when mu > 1 (mu = 0 or 1 puts P on a point, and j is
+    named, as the kernel does).  The side is whether p starts left of
+    i -> j, by the sign of cross(b - a, p - a).
+    """
     p = ray.anchor
     p0 = S[p]
     dx, dy = ray.direction
@@ -299,7 +308,15 @@ def pairwise_event_parameters(S, ray):
                 continue
             if (A > 0) == (B > 0):
                 continue
-            out.append((-A, B, (i, j)) if B > 0 else (A, -B, (i, j)))
+            num, den = (-A, B) if B > 0 else (A, -B)
+            a, b = S[i], S[j]
+            ux, uy = b.x - a.x, b.y - a.y
+            # mu scaled by den * |b - a|^2 > 0: den * P = den * p + num * d
+            m = (den * (p0.x - a.x) + num * dx) * ux + (den * (p0.y - a.y) + num * dy) * uy
+            scale = den * (ux * ux + uy * uy)
+            centre = p if 0 < m < scale else i if m < 0 else j
+            side = ux * (p0.y - a.y) - uy * (p0.x - a.x) > 0
+            out.append((num, den, (i, j), centre, side))
     return out
 
 

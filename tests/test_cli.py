@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kedges import PointSet, format_point_set, load_point_set, save_point_set
+from kedges import PointSet, format_point_set, load_point_set
 from kedges.cli import main
 from kedges.generators import KINDS
 from helpers import convex_polygon, random_point_set
@@ -20,7 +20,7 @@ from helpers import convex_polygon, random_point_set
 @pytest.fixture
 def hexagon_file(tmp_path):
     path = tmp_path / "hex.txt"
-    save_point_set(convex_polygon(6), path)
+    path.write_text(format_point_set(convex_polygon(6)), encoding="ascii")
     return str(path)
 
 
@@ -140,7 +140,7 @@ def test_generate_grid_search_up_to_two_points_per_row(capsys, tmp_path):
 def test_unwritable_output_is_an_input_error(capsys, tmp_path):
     missing = tmp_path / "missing"
     src = tmp_path / "s.txt"
-    save_point_set(convex_polygon(5), src)
+    src.write_text(format_point_set(convex_polygon(5)), encoding="ascii")
     for argv in (
         ["generate", "--kind", "convex", "--n", "5", "--out", str(missing / "x.txt")],
         ["reduce", str(src), "--trace", str(missing / "t.json")],
@@ -153,7 +153,8 @@ def test_unwritable_output_is_an_input_error(capsys, tmp_path):
 
 def test_reduce_summary_and_trace(capsys, tmp_path):
     src = tmp_path / "s.txt"
-    save_point_set(random_point_set(__import__("random").Random(12), 8, radius=40), src)
+    S = random_point_set(__import__("random").Random(12), 8, radius=40)
+    src.write_text(format_point_set(S), encoding="ascii")
     trace_path = tmp_path / "t.json"
     out_path = tmp_path / "r.txt"
     code, out, _ = run(
@@ -210,7 +211,7 @@ def test_verify_many_seeded_sets(capsys, tmp_path):
     for trial in range(100):
         S = random_point_set(rng, rng.randint(4, 11), radius=60)
         path = tmp_path / ("s%03d.txt" % trial)
-        save_point_set(S, path)
+        path.write_text(format_point_set(S), encoding="ascii")
         code, out, _ = run(capsys, ["verify", str(path)])
         assert code == 0, out
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 
 import pytest
@@ -23,7 +24,6 @@ from kedges import (
     edge_vector_bruteforce,
     generate,
     halving_ray,
-    halving_ray_pair,
     halving_ray_stable,
     hull_size,
     is_halving_ray,
@@ -41,7 +41,7 @@ from helpers import (
     indexed_convex_hull,
     load_demo,
     order_type,
-    pairwise_event_parameters,
+    pairwise_crossings,
     random_point_set,
 )
 
@@ -132,11 +132,11 @@ def test_is_halving_ray_rejections_return_false():
     assert not is_halving_ray(S, Ray(0, (-ray.direction[0], -ray.direction[1])))
 
 
-def test_halving_ray_pair_requires_non_consecutive():
-    S = convex_polygon(6)
-    hull = convex_hull(S)
-    with pytest.raises(ValueError):
-        halving_ray_pair(S, hull[0], hull[1])
+def ray_pair(S, p, q, attempt_p=0, attempt_q=0):
+    """The reduction's halving rays for the hull points p and q: tails
+    into the heavier side of line pq, lines meeting inside the hull."""
+    h = motion._heavy_side(S, p, q, left_counts(S, p)[q])
+    return motion._ray_pair(S, convex_hull(S), p, q, h, attempt_p, attempt_q)
 
 
 def _line_meet(S, ra, rb):
@@ -170,7 +170,7 @@ def test_halving_ray_pair_crosses_inside_hull():
         if len(hull) < 4:
             continue
         p, q = hull[0], hull[2]
-        rp, rq = halving_ray_pair(S, p, q)
+        rp, rq = ray_pair(S, p, q)
         assert is_halving_ray(S, rp) and is_halving_ray(S, rq)
         meet = _line_meet(S, rp, rq)
         assert meet is not None
@@ -181,11 +181,11 @@ def test_halving_ray_pair_crosses_inside_hull():
 def test_halving_ray_pair_named_examples():
     square = PointSet([(0, 0), (12, 0), (12, 12), (0, 12), (5, 4), (7, 9)])
     hull = convex_hull(square)
-    rp, rq = halving_ray_pair(square, hull[0], hull[2])
+    rp, rq = ray_pair(square, hull[0], hull[2])
     assert _strictly_inside_hull(square, _line_meet(square, rp, rq))
     hexagon = PointSet([(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2), (0, 1)])
     hull = convex_hull(hexagon)
-    rp, rq = halving_ray_pair(hexagon, hull[0], hull[2])
+    rp, rq = ray_pair(hexagon, hull[0], hull[2])
     assert is_halving_ray(hexagon, rp) and is_halving_ray(hexagon, rq)
 
 
@@ -567,9 +567,9 @@ def test_reduce_nudges_the_ray_that_hit_simultaneous_events():
                 attempts = [0, 0]
                 attempts[nudged] = 1
                 p, q = hull[0], hull[len(hull) // 2]
-                pair = halving_ray_pair(R, p, q, *attempts)
+                pair = ray_pair(R, p, q, *attempts)
                 assert pair == (st.ray, trace.steps[i + 1].ray)
-                assert halving_ray_pair(R, p, q)[nudged] != pair[nudged]
+                assert ray_pair(R, p, q)[nudged] != pair[nudged]
             R = apply_motion(R, st.moved, st.ray, st.stop)
         assert R == T
 
@@ -594,6 +594,39 @@ def test_reduce_lands_p_once_when_q_is_nudged(monkeypatch):
     assert anchors[:3] == [p, q, q]
     assert anchors[3] == trace.steps[2].moved
     assert [(st.moved, st.ray.direction) for st in trace.steps] == expected_steps
+
+
+def test_reduce_runs_the_crossing_kernel_once_per_landing(monkeypatch):
+    # a landing, nudged or not, finds its events, its next parameter
+    # and their centres and sides in one kernel pass
+    real_land, real_crossings = motion._land, motion._crossings
+    kernel_calls = []
+    per_landing = []
+    nudged = []
+
+    def crossings(S, ray, stop):
+        kernel_calls.append(ray.anchor)
+        return real_crossings(S, ray, stop)
+
+    def land(*args):
+        before = len(kernel_calls)
+        try:
+            return real_land(*args)
+        except SimultaneousEventError:
+            nudged.append(args[2].anchor)
+            raise
+        finally:
+            per_landing.append(len(kernel_calls) - before)
+
+    monkeypatch.setattr(motion, "_crossings", crossings)
+    monkeypatch.setattr(motion, "_land", land)
+    sets = [PointSet(pts) for pts, *_ in NUDGE_CASES]
+    sets += [convex_polygon(12), generate(GeneratorSpec("random-disc", 40, 1))]
+    for S in sets:
+        T, trace = reduce_to_triangle(S)
+        assert hull_size(T) == 3
+    assert len(nudged) >= len(NUDGE_CASES)
+    assert len(per_landing) > len(nudged) and set(per_landing) == {1}
 
 
 def test_landing_growth_demo_passes_its_checks(capsys):
@@ -752,17 +785,41 @@ def _any_ray(data, S):
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(strategies.data(), kernel_sets())
-def test_event_parameters_match_the_pairwise_oracle(data, S):
+def test_crossing_kernel_matches_the_pairwise_oracle(data, S):
     rays = [halving_ray(S, p, data.draw(strategies.integers(0, 3))) for p in convex_hull(S)]
     rays.append(_any_ray(data, S))
     # a ray parallel to line ij: the pair has B == 0 and no event
     k, i, j = data.draw(strategies.permutations(range(len(S))))[:3]
     parallel = Ray(k, motion._primitive(S[j].x - S[i].x, S[j].y - S[i].y))
-    got = motion._event_parameters(S, parallel)
-    assert (min(i, j), max(i, j)) not in [pair for _, _, pair in got]
-    assert sorted(got) == sorted(pairwise_event_parameters(S, parallel))
+    got, _ = motion._crossings(S, parallel, None)
+    assert (min(i, j), max(i, j)) not in [c[2] for c in got]
+    rays.append(parallel)
     for ray in rays:
-        assert sorted(motion._event_parameters(S, ray)) == sorted(pairwise_event_parameters(S, ray))
+        want = pairwise_crossings(S, ray)
+        got, nxt = motion._crossings(S, ray, None)
+        assert nxt is None
+        assert sorted(got) == sorted(want)
+        # stops at a parameter (r odd) or between two, before the first
+        # or beyond the last (r even): the kept crossings and the next
+        # parameter, compared by cross-multiplying
+        ts = sorted(want, key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+        for r in data.draw(strategies.lists(strategies.integers(0, 2 * len(ts)), min_size=1, max_size=4)):
+            m = r // 2
+            if r % 2:
+                stop = Fraction(ts[m][0], ts[m][1])
+            elif not ts:
+                stop = Fraction(1)
+            elif m == 0:
+                stop = Fraction(ts[0][0], 2 * ts[0][1])
+            elif m == len(ts):
+                stop = Fraction(ts[-1][0], ts[-1][1]) + 1
+            else:
+                stop = Fraction(ts[m - 1][0] + ts[m][0], ts[m - 1][1] + ts[m][1])
+            sn, sd = stop.numerator, stop.denominator
+            kept, nxt = motion._crossings(S, ray, stop)
+            assert sorted(kept) == sorted(c for c in want if c[0] * sd <= sn * c[1])
+            beyond = [Fraction(c[0], c[1]) for c in ts if c[0] * sd > sn * c[1]][:1]
+            assert nxt == (beyond[0] if beyond else None)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -773,7 +830,7 @@ def test_hull_and_ray_line_meeting_match_their_oracles(data, S):
     rp, rq = _any_ray(data, S), _any_ray(data, S)
     cases = [(rp, rq), (rp, Ray(rq.anchor, rp.direction))]
     if len(hull) >= 4:
-        cases.append(halving_ray_pair(S, hull[0], hull[len(hull) // 2]))
+        cases.append(ray_pair(S, hull[0], hull[len(hull) // 2]))
     for ra, rb in cases:
         got = motion._line_intersection_inside_hull(S, hull, ra, rb)
         assert got == fraction_line_intersection_inside_hull(S, hull, ra, rb)
