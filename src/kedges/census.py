@@ -7,9 +7,9 @@ cumulative counts E_0..E_m.  Two independent routes are provided: a
 quadratic-per-point brute force and an O(n^2 log n) rotational sweep
 that swaps each pair of points once, in the order of their directions
 (``oriented_edge_counts``).  The sweep sorts directions, in two
-sectors of about n^2/4 pairs each, by an exact integer key
-(geometry.sweep_frame, which validation shares) that grows with the
-coordinates, and so do its memory and time.  ``left_counts`` gives
+sectors of about n^2/4 pairs each, by the exact integer key that
+validation and line_order share (geometry.sweep_frame); the key grows
+with the coordinates, and so do the sweep's memory and time.  ``left_counts`` gives
 the sides of the lines through one point, by rank over one exact sort
 of them (``line_order``); a matrix of its rows gives the census again
 (``oriented_counts_from_rows``).
@@ -175,9 +175,8 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     The pairs are walked in two sectors of [0, pi), cut at the vertical
     and told apart by one comparison of x: in [0, pi/2) dx > 0 and the
     direction grows with dy/dx, in [pi/2, pi) dx <= 0 < dy and it grows
-    with -dx/dy.  Each sector is sorted by the exact integer key
-    (num << s) // den of that fraction (sweep_frame; den <= w or h, the
-    sides of the bounding box), so keys tie exactly for parallel pairs.
+    with -dx/dy.  Each sector is sorted by the exact integer key of
+    that fraction (sweep_frame), so keys tie exactly for parallel pairs.
     The walk still checks that every swap is of adjacent points.
 
     Memory is traded for time: the sweep holds one sector at a time,

@@ -5,6 +5,10 @@ computed exactly (arbitrary precision, no overflow is possible).
 Rational coordinates are accepted only at point-set construction time
 and are cleared to integers by a uniform positive scaling, which
 preserves every orientation.
+
+Every order decision is an integer sign or an exact integer key: one
+key (_key_shift) orders the directions from a point (line_order) and
+between pairs of points (validation and the census sweep).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from math import atan2, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -110,18 +114,24 @@ def _first_collinear_triple(points: Sequence[Point]) -> Optional[Tuple[int, int,
     return None
 
 
-def sweep_frame(points: Sequence[Point]) -> Tuple[List[Tuple[int, int]], List[int], List[int], int]:
-    """The points as (y, x) pairs in (y, x) order, so that every pair
-    i < j points into [0, pi), their ys and xs, and the shift s = 2b, b
-    the bit length of max(w, h, 1) for the w x h box around them.  A
-    fraction num/den with 0 < den <= max(w, h) has the exact key
+def _key_shift(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """The shift s = 2b of the exact direction key, b the bit length of
+    max(w, h, 1) for the w x h box around the points with these xs and
+    ys.  A fraction num/den with 0 < den <= max(w, h) has the key
     (num << s) // den: two such fractions are equal or differ by at
     least 1/(den*den') > 2^-s, so their keys are equal exactly when
     they are, and otherwise in their order."""
+    return 2 * max(max(xs) - min(xs), max(ys) - min(ys), 1).bit_length()
+
+
+def sweep_frame(points: Sequence[Point]) -> Tuple[List[Tuple[int, int]], List[int], List[int], int]:
+    """The points as (y, x) pairs in (y, x) order, so that every pair
+    i < j points into [0, pi), their ys and xs, and the shift s of the
+    exact key (num << s) // den (_key_shift)."""
     yx = sorted((p.y, p.x) for p in points)
     ys = [y for y, _ in yx]
     xs = [x for _, x in yx]
-    return yx, ys, xs, 2 * max(max(xs) - min(xs), ys[-1] - ys[0], 1).bit_length()
+    return yx, ys, xs, _key_shift(xs, ys)
 
 
 def validate_general_position(points: Sequence[Point]) -> Optional[Tuple[int, int, int]]:
@@ -250,63 +260,39 @@ class PointSet:
         return moved
 
 
-def line_order(S: PointSet, p: int) -> List[Tuple[float, int, int, int, bool]]:
+def line_order(S: PointSet, p: int) -> List[Tuple[int, int, int, int, bool]]:
     """The lines from point p to every other point j, as tuples
-    (hint, cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
+    (key, cx, cy, j, up) sorted counterclockwise by the angle of (cx, cy).
 
     (cx, cy) is p -> j when that points into [0, pi) (``up``), and its
-    negation otherwise; on [0, pi) the sign of cx*cy' - cy*cx' is a
-    strict total order.  The float ``hint`` atan2(cy, cx) presorts the
-    list; a float holds integers of up to 1024 bits, so for longer
-    vectors both components are first shifted right by one common
-    amount, to at most 1000 bits.  One pass then checks the
-    integer sign of each adjacent pair; only if some sign is not
-    positive does an insertion pass settle the list by those signs.  A
-    zero sign means p is on a line with two points, perhaps between
-    them: GeneralPositionError, sorted triple.
+    negation otherwise.  As in the census sweep, [0, pi) is cut at the
+    vertical into two sectors, each sorted by the exact integer key of
+    a fraction (_key_shift over the set's bounding box): cy/cx when
+    cx > 0, and -cx/cy when cx <= 0 < cy.  Two equal keys in one
+    sector mean p is on a line with two points, perhaps between them:
+    GeneralPositionError, sorted triple.
     """
-    ox, oy = S[p]
-    hint = atan2
-    while True:  # at most twice: shifted vectors fit a float
-        vs = []
-        try:
-            for j, q in enumerate(S):
-                if j != p:
-                    cx, cy = q.x - ox, q.y - oy
-                    if cy > 0 or (cy == 0 and cx > 0):
-                        vs.append((hint(cy, cx), cx, cy, j, True))
-                    else:
-                        vs.append((hint(-cy, -cx), -cx, -cy, j, False))
-            break
-        except OverflowError:
-            s = max(max(abs(q.x - ox), abs(q.y - oy)) for q in S).bit_length() - 1000
-
-            def hint(y, x):
-                return atan2(y >> s, x >> s)
-    vs.sort(key=itemgetter(0))
-    for (_, ux, uy, _, _), (_, vx, vy, _, _) in zip(vs, vs[1:]):
-        if ux * vy - uy * vx <= 0:
-            _settle(vs, p)
-            break
-    return vs
-
-
-def _settle(vs: List[Tuple[float, int, int, int, bool]], p: int) -> None:
-    """Sort presorted line_order(S, p) entries in place by integer signs."""
-    for i in range(1, len(vs)):
-        v = vs[i]
-        _, vx, vy, vj, _ = v
-        k = i
-        while k > 0:
-            _, ux, uy, uj, _ = vs[k - 1]
-            c = ux * vy - uy * vx
-            if c > 0:
-                break
-            if c == 0:
-                raise GeneralPositionError(tuple(sorted((p, uj, vj))))
-            vs[k] = vs[k - 1]
-            k -= 1
-        vs[k] = v
+    pts = S.points
+    s = _key_shift([q.x for q in pts], [q.y for q in pts])
+    ox, oy = pts[p]
+    flat, steep = [], []
+    for j, q in enumerate(pts):
+        if j == p:
+            continue
+        cx, cy = q.x - ox, q.y - oy
+        up = cy > 0 or (cy == 0 and cx > 0)
+        if not up:
+            cx, cy = -cx, -cy
+        if cx > 0:
+            flat.append(((cy << s) // cx, cx, cy, j, up))
+        else:
+            steep.append((((-cx) << s) // cy, cx, cy, j, up))
+    for sector in (flat, steep):
+        sector.sort(key=itemgetter(0))
+        for u, v in zip(sector, sector[1:]):
+            if u[0] == v[0]:
+                raise GeneralPositionError(tuple(sorted((p, u[3], v[3]))))
+    return flat + steep
 
 
 def angular_order(S: PointSet, p: int) -> List[Tuple[int, int, int]]:

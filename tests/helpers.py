@@ -189,7 +189,7 @@ def window_left_counts(S, p):
 
 
 def insertion_line_order(S, p):
-    """Oracle for line_order, its entries without the hint: the float
+    """Oracle for line_order, its entries without the key: the float
     atan2 presort, then an insertion pass by integer signs that always
     runs."""
     o = S[p]
@@ -261,7 +261,8 @@ def line_order_sets(draw):
     """A random-disc set of 4 to 40 points with a radius of 16 to 2^200,
     or one of radius 16 to 2^10 with every other point moved by
     (2^200, 2^200): from one cluster the vectors to the other differ in
-    angle by about 2^-200, so their float atan2 hints tie."""
+    angle by about 2^-200, far below a float's resolution, so the order
+    rests on the exactness of the key."""
     n = draw(strategies.integers(4, 40))
     seed = draw(strategies.integers(0, 2 ** 32))
     if draw(strategies.booleans()):

@@ -86,7 +86,8 @@ def test_sweep_equals_bruteforce_random():
     for _ in range(60):
         S = random_point_set(rng, rng.randint(3, 12))
         assert edge_vector_sweep(S) == edge_vector_bruteforce(S)
-    # vectors too long for a float take the shifted direction hint
+    # coordinates of 1100 bits, beyond a float's range, give keys of
+    # about 3300 bits
     for _ in range(10):
         S = random_point_set(rng, rng.randint(3, 12), radius=2 ** 1100)
         assert edge_vector_sweep(S) == edge_vector_bruteforce(S)
@@ -117,8 +118,8 @@ def test_left_counts_match_window_oracle():
         for _ in range(20)
     ]
     sets += [generate(GeneratorSpec("three-cluster", n)) for n in (9, 12, 13, 14)]
-    # fans whose float angles tie or invert, and 2^1100 fans for the
-    # shifted hint
+    # fans whose float angles tie or invert, so the key must resolve
+    # directions 2^-60 to 2^-200 apart, and 2^1100 fans beyond a float
     sets += [fan_point_set(rng, 2 ** e, m) for e in (60, 200, 1100) for m in (3, 8)]
     for S in sets:
         for p in range(len(S)):
@@ -128,7 +129,7 @@ def test_left_counts_match_window_oracle():
 def test_oriented_counts_match_the_row_histogram():
     # odd and even n both occur, so the halving level of even sets,
     # counted once per orientation, is covered; the clusters' pair
-    # directions differ by about 2^-200, so their float angles tie
+    # directions differ by about 2^-200, which the exact key resolves
     parities = set()
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)

