@@ -8,11 +8,11 @@ quadratic-per-point brute force and an O(n^2 log n) rotational sweep
 that swaps each pair of points once, in the order of their directions
 (``oriented_edge_counts``).  The sweep sorts directions, in two
 sectors of about n^2/4 pairs each, by the exact integer key that
-validation and line_order share (geometry.sweep_frame); the key grows
-with the coordinates, and so do the sweep's memory and time.  ``left_counts`` gives
-the sides of the lines through one point, by rank over one exact sort
-of them (``line_order``); a matrix of its rows gives the census again
-(``oriented_counts_from_rows``).
+validation and line_order share (geometry._key_shift); the key grows
+with the coordinates, and so do the sweep's memory and time.
+``left_counts`` gives the sides of the lines through one point, by
+rank over one exact sort of them (``line_order``); a matrix of its
+rows gives the census again (``oriented_counts_from_rows``).
 """
 
 from __future__ import annotations
@@ -176,7 +176,8 @@ def oriented_edge_counts(S: PointSet) -> Tuple[int, ...]:
     and told apart by one comparison of x: in [0, pi/2) dx > 0 and the
     direction grows with dy/dx, in [pi/2, pi) dx <= 0 < dy and it grows
     with -dx/dy.  Each sector is sorted by the exact integer key of
-    that fraction (sweep_frame), so keys tie exactly for parallel pairs.
+    that fraction (geometry._key_shift, whose shift sweep_frame gives),
+    so keys tie exactly for parallel pairs.
     The walk still checks that every swap is of adjacent points.
 
     Memory is traded for time: the sweep holds one sector at a time,

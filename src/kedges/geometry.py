@@ -126,8 +126,7 @@ def _key_shift(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 def sweep_frame(points: Sequence[Point]) -> Tuple[List[Tuple[int, int]], List[int], List[int], int]:
     """The points as (y, x) pairs in (y, x) order, so that every pair
-    i < j points into [0, pi), their ys and xs, and the shift s of the
-    exact key (num << s) // den (_key_shift)."""
+    i < j points into [0, pi), their ys and xs, and their _key_shift."""
     yx = sorted((p.y, p.x) for p in points)
     ys = [y for y, _ in yx]
     xs = [x for _, x in yx]

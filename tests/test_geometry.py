@@ -261,8 +261,7 @@ def test_angular_order_raises_on_a_tie():
 @pytest.mark.parametrize("order", [line_order, angular_order, left_counts])
 def test_line_order_raises_on_a_parallel_tie(order):
     # from point p, the two other points of the triple lie in the same
-    # direction: in the flat sector (the angular_order case of
-    # test_angular_order_raises_on_a_tie), vertical, horizontal, steep
+    # direction: in the flat sector, vertical, horizontal and steep
     cases = [
         ([(1, 5), (3, 2), (-2, 1), (1, 1), (5, 3)], 3, (1, 3, 4)),
         ([(0, 0), (0, 3), (2, 1), (0, 7)], 0, (0, 1, 3)),
